@@ -42,11 +42,23 @@ METRIC_KEYS = ("precision", "recall", "f1", "roc_auc")
 
 
 def _parse_file(path: str, parser: Callable, what: str):
+    # utf-8-sig drops a leading byte-order mark instead of folding it into the first id
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             return parser(fh)
     except OSError as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    except UnicodeDecodeError:
+        # the line number is worked out only here, from the raw bytes
+        raw = Path(path).read_bytes()
+        try:
+            raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line = raw.count(b"\n", 0, exc.start) + 1
+            raise InputError(
+                f"{what} file {path} line {line}: invalid UTF-8 ({exc.reason})"
+            ) from exc
+        raise
 
 
 def _write_text(path: str, text: str) -> None:

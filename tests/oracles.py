@@ -195,6 +195,24 @@ def prf1(y_true, y_pred) -> tuple[float, float, float]:
     return precision, recall, f1
 
 
+def naive_best_f1_threshold(y: np.ndarray, scores: np.ndarray) -> float:
+    """Rescan every row for every distinct score: O(n * unique)."""
+    best_t = 0.5
+    best_f1 = -1.0
+    for t in np.unique(scores):
+        pred = scores >= t
+        tp = int(np.sum(pred & (y == 1)))
+        fp = int(np.sum(pred & (y == 0)))
+        fn = int(np.sum(~pred & (y == 1)))
+        p = tp / (tp + fp) if (tp + fp) > 0 else 0.0
+        r = tp / (tp + fn) if (tp + fn) > 0 else 0.0
+        f1 = 2 * p * r / (p + r) if (p + r) > 0 else 0.0
+        if f1 > best_f1:
+            best_f1 = f1
+            best_t = float(t)
+    return best_t
+
+
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     g = np.zeros_like(x)
     for i in range(len(x)):

@@ -73,6 +73,28 @@ class TestStats:
         assert run("stats", "--edges", str(tmp_path / "nope.csv")) == 2
         assert "nope.csv" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "data, line",
+        [(b"a,b\nc,\xffd\n", 2), (b"\xef\xbb\xbfa,b\nb,c\n\nc,\xff\n", 4)],
+    )
+    def test_invalid_utf8_names_the_line(self, tmp_path, capsys, data, line):
+        edges = tmp_path / "e.csv"
+        edges.write_bytes(data)
+        assert run("stats", "--edges", str(edges)) == 2
+        err = capsys.readouterr().err
+        assert f"{edges} line {line}: invalid UTF-8" in err
+
+    def test_byte_order_mark_is_not_part_of_an_id(self, tmp_path):
+        edges = tmp_path / "e.csv"
+        out = tmp_path / "stats.json"
+        outputs = []
+        for prefix in (b"", b"\xef\xbb\xbf"):
+            edges.write_bytes(prefix + b"a,b\nb,a\n")
+            assert run("stats", "--edges", str(edges), "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[1])["largest_wcc_nodes"] == 2
+
 
 class TestArgumentHandling:
     def test_unknown_flag(self, triangle_edges, capsys):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hateagg import (
     AggregationConfig,
@@ -22,7 +26,7 @@ from hateagg import (
 from hateagg.learn import _best_f1_threshold
 
 from conftest import make_dataset, random_dataset
-from oracles import brute_auc, fd_gradient, prf1
+from oracles import brute_auc, fd_gradient, naive_best_f1_threshold, prf1
 
 
 def labeled_dataset(rng, folds=5, **kwargs):
@@ -279,6 +283,51 @@ class TestBestF1Threshold:
         y = np.array([1, 1, 0])
         scores = np.array([0.9, 0.8, 0.1])
         assert _best_f1_threshold(y, scores) == 0.8
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.one_of(
+                    st.integers(0, 8).map(lambda k: k / 8),  # heavy ties
+                    st.sampled_from([0.0, 1.0]),
+                    st.floats(0.0, 1.0),
+                ),
+            ),
+            min_size=1,
+            max_size=60,
+        )
+    )
+    def test_matches_loop_oracle(self, rows):
+        y = np.array([label for label, _ in rows])
+        scores = np.array([score for _, score in rows])
+        assert _best_f1_threshold(y, scores) == naive_best_f1_threshold(y, scores)
+
+    @pytest.mark.parametrize(
+        "y, scores",
+        [
+            ([0, 0, 0, 0], [0.25, 0.5, 0.5, 1.0]),  # all negative
+            ([1, 1, 1], [0.0, 0.5, 0.5]),  # all positive
+            ([1], [0.3]),
+            ([0], [0.0]),
+            ([1, 0, 1, 0], [1.0, 1.0, 0.0, 0.0]),  # endpoints only
+            ([], []),  # keeps the 0.5 default
+        ],
+    )
+    def test_edge_cases_match_loop_oracle(self, y, scores):
+        y, scores = np.array(y), np.array(scores)
+        assert _best_f1_threshold(y, scores) == naive_best_f1_threshold(y, scores)
+
+    def test_million_distinct_scores_is_fast(self):
+        # rescanning every row per distinct score would take hours here
+        rng = np.random.default_rng(7)
+        n = 1_000_000
+        scores = rng.permutation(n) / n
+        y = (rng.random(n) < scores).astype(np.int64)
+        start = time.perf_counter()
+        thr = _best_f1_threshold(y, scores)
+        assert time.perf_counter() - start < 30.0
+        assert 0.0 <= thr < 1.0
 
 
 class TestCrossValidation:
