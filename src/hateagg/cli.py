@@ -110,14 +110,13 @@ def _agg_config(args) -> AggregationConfig:
     )
 
 
-def _learn_config(args) -> LearnConfig:
+def _learn_config(args, **cv) -> LearnConfig:
+    """Fit settings shared by train and eval; ``cv`` carries eval's CV flags."""
     return LearnConfig(
-        folds=args.folds,
-        seed=args.seed,
         l2_lambda=args.l2_lambda,
         decision_threshold=args.decision_threshold,
-        select_threshold=args.select_threshold,
         threads=args.threads,
+        **cv,
     )
 
 
@@ -239,7 +238,12 @@ def cmd_eval(args) -> int:
         dataset,
         args.mode,
         agg=_agg_config(args),
-        config=_learn_config(args),
+        config=_learn_config(
+            args,
+            folds=args.folds,
+            seed=args.seed,
+            select_threshold=args.select_threshold,
+        ),
         diffusion=_diffusion_config(args) if args.mode == "degroot" else None,
     )
     report.config = {**_io_echo(args, "edges", "scores", "labels"), **report.config}
@@ -397,8 +401,6 @@ def _add_agg_flags(p) -> None:
 
 
 def _add_learn_flags(p) -> None:
-    p.add_argument("--folds", type=int, default=5, help="cross-validation folds")
-    p.add_argument("--seed", type=int, default=0, help="fold-assignment seed")
     p.add_argument("--l2-lambda", type=float, default=1.0, help="L2 penalty weight")
     p.add_argument(
         "--decision-threshold",
@@ -406,6 +408,11 @@ def _add_learn_flags(p) -> None:
         default=0.5,
         help="probability cutoff for the positive class",
     )
+
+
+def _add_cv_flags(p) -> None:
+    p.add_argument("--folds", type=int, default=5, help="cross-validation folds")
+    p.add_argument("--seed", type=int, default=0, help="fold-assignment seed")
     p.add_argument(
         "--select-threshold",
         action="store_true",
@@ -497,6 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_agg_flags(p)
     _add_learn_flags(p)
+    _add_cv_flags(p)
     _add_diffusion_flags(p)
     _add_threads_flag(p)
     p.add_argument(

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import DegenerateDataError, InputError
 
@@ -256,6 +254,10 @@ def build_graph(
 
 
 def _component_labels(g: SocialGraph) -> tuple[int, np.ndarray]:
+    # deferred, like every scipy import: commands that need no graph kernel skip it
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     if g.node_count == 0:
         return 0, np.zeros(0, dtype=np.int32)
     mat = csr_matrix(
@@ -317,6 +319,8 @@ def clustering_coefficient(g: SocialGraph, chunk: int = 50_000) -> float:
     nodes with degree < 2 contribute 0. Triangle counts come from chunked
     sparse products, so memory stays bounded on large graphs.
     """
+    from scipy.sparse import csr_matrix
+
     if g.node_count == 0:
         raise InputError("empty graph has no clustering coefficient")
     indptr, indices = g.undirected_csr()

@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import rankdata
 
 from .degroot import DiffusionConfig, degroot_init, degroot_run
 from .errors import DegenerateDataError, InputError
@@ -108,6 +106,8 @@ def loss_and_gradient(
     The NLL term is the mean over examples; the L2 penalty applies to the
     weights only, never the bias.
     """
+    from scipy.special import expit  # deferred: commands that never fit skip its import
+
     z = X @ w + b
     n = len(y)
     loss = _nll_mean(z, y) + 0.5 * lam * float(w @ w)
@@ -196,6 +196,8 @@ def train_logreg(
 
 def predict_proba(model: LogRegModel, x: np.ndarray) -> np.ndarray | float:
     """Sigmoid score(s) for one feature row or a matrix of rows."""
+    from scipy.special import expit
+
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != len(model.weights):
         raise InputError(
@@ -235,6 +237,25 @@ def stratified_kfold(
     ]
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of their ranks, as float64.
+
+    The same float operations as ``scipy.stats.rankdata(x, method="average")``,
+    so the ranks are bit-identical to it.
+    """
+    n = len(x)
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    is_start = np.ones(n, dtype=bool)
+    is_start[1:] = sorted_x[:-1] != sorted_x[1:]
+    starts = np.flatnonzero(is_start)
+    counts = np.diff(starts, append=n)
+    run_ranks = (starts + 1).astype(np.float64) + (counts.astype(np.float64) - 1) / 2
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(run_ranks, counts)
+    return ranks
+
+
 def metrics(
     y_true: Sequence[int] | np.ndarray,
     y_pred: Sequence[int] | np.ndarray,
@@ -267,7 +288,7 @@ def metrics(
     recall = tp / (tp + fn)
     f1 = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
 
-    ranks = rankdata(y_score, method="average")
+    ranks = _average_ranks(y_score)
     pos_rank_sum = float(np.sum(ranks[y_true == 1]))
     auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
     return {"precision": precision, "recall": recall, "f1": f1, "roc_auc": auc}

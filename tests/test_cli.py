@@ -218,6 +218,20 @@ class TestTrain:
         assert "mean" in model["standardization"]
         assert payload["config"]["l2_lambda"] == 1.0
 
+    @pytest.mark.parametrize(
+        "flag", [["--select-threshold"], ["--folds", "3"], ["--seed", "1"]]
+    )
+    def test_eval_only_flags_rejected(self, synth_dir, tmp_path, capsys, flag):
+        # train fits once on every labeled user; these flags would do nothing
+        out = tmp_path / "model.json"
+        code = run(
+            "train", *synth_args(synth_dir), "--mode", "fixed", *flag,
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestEval:
     def test_multimodal_report(self, synth_dir, tmp_path, capsys):

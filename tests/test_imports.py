@@ -1,0 +1,112 @@
+"""Each command imports only the scipy submodules its kernels use.
+
+Every CLI call is a fresh process, so a module-level scipy import is paid
+on every command. These tests run each command in a fresh interpreter and
+read which ``scipy`` modules it left in ``sys.modules``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import hateagg
+from hateagg.cli import main
+
+SRC = str(Path(hateagg.__file__).resolve().parent.parent)
+
+PROBE = """
+import json, sys
+from hateagg.cli import main
+argv = json.loads(sys.argv[1])
+code = main(argv) if argv else 0
+print(json.dumps({
+    "code": code,
+    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+}))
+"""
+
+
+def scipy_modules(*argv: str) -> set[str]:
+    """Run ``hateagg`` with ``argv`` in a fresh interpreter; its scipy modules."""
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, json.dumps(list(argv))],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+        check=True,
+    )
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["code"] == 0, proc.stderr
+    return set(result["scipy"])
+
+
+def loaded(modules: set[str], package: str) -> bool:
+    return any(m == package or m.startswith(package + ".") for m in modules)
+
+
+SYNTH = [
+    "synth", "--n", "30", "--hate-fraction", "0.5",
+    "--p-in", "0.3", "--p-out", "0.05",
+    "--posts-min", "3", "--posts-max", "6", "--seed", "1",
+]
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("synth")
+    assert main([*SYNTH, "--out-dir", str(out)]) == 0
+    return out, [
+        "--edges", str(out / "edges.csv"),
+        "--scores", str(out / "scores.csv"),
+        "--labels", str(out / "labels.csv"),
+        "--allow-zero-posts",
+    ]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    assert scipy_modules() == set()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["features", "--mode", "multimodal"],
+        ["diffuse"],
+        ["eval", "--mode", "degroot"],
+    ],
+    ids=["features", "diffuse", "eval-degroot"],
+)
+def test_commands_without_scipy_kernels_load_none(inputs, command):
+    out, flags = inputs
+    assert scipy_modules(*command, *flags, "--out", str(out / "o")) == set()
+
+
+def test_synth_loads_no_scipy(tmp_path):
+    assert scipy_modules(*SYNTH, "--out-dir", str(tmp_path)) == set()
+
+
+@pytest.mark.parametrize(
+    "command", [["train"], ["eval", "--mode", "multimodal"]], ids=["train", "eval"]
+)
+def test_logistic_commands_load_only_special(inputs, command):
+    out, flags = inputs
+    modules = scipy_modules(*command, *flags, "--out", str(out / "o"))
+    assert loaded(modules, "scipy.special")
+    assert not loaded(modules, "scipy.stats")
+    assert not loaded(modules, "scipy.sparse")
+
+
+def test_stats_loads_sparse_but_not_stats(inputs):
+    out, flags = inputs
+    modules = scipy_modules("stats", *flags[:2], "--out", str(out / "o"))
+    assert loaded(modules, "scipy.sparse")
+    assert not loaded(modules, "scipy.stats")

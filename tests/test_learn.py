@@ -4,8 +4,9 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from hateagg import (
     AggregationConfig,
@@ -23,7 +24,7 @@ from hateagg import (
     threshold_sweep,
     train_logreg,
 )
-from hateagg.learn import _best_f1_threshold
+from hateagg.learn import _average_ranks, _best_f1_threshold
 
 from conftest import make_dataset, random_dataset
 from oracles import brute_auc, fd_gradient, naive_best_f1_threshold, prf1
@@ -270,6 +271,33 @@ class TestMetrics:
             assert m["roc_auc"] == brute_auc(y.tolist(), s.tolist())
             p, r, f1 = prf1(y.tolist(), pred.tolist())
             assert (m["precision"], m["recall"], m["f1"]) == (p, r, f1)
+
+
+class TestAverageRanks:
+    """``scipy.stats.rankdata`` is the oracle; ``src/`` never imports it."""
+
+    @given(
+        st.one_of(
+            st.lists(st.integers(0, 8).map(lambda k: k / 8), min_size=1, max_size=60),
+            st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=60),
+            st.lists(
+                st.floats(allow_nan=False, allow_infinity=False),
+                min_size=1,
+                max_size=60,
+            ),
+            st.builds(lambda v, n: [v] * n, st.floats(0.0, 1.0), st.integers(1, 60)),
+        )
+    )
+    @example([0.5])  # length 1
+    @example([0.25] * 7)  # all equal
+    @example([1.0, 0.0, 1.0, 0.0, 0.0])  # endpoints only
+    @example([0.0, -0.0, 0.0])  # signed zeros tie
+    def test_matches_rankdata_exactly(self, values):
+        x = np.array(values, dtype=np.float64)
+        got = _average_ranks(x)
+        want = rankdata(x, method="average")
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestBestF1Threshold:
