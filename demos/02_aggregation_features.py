@@ -40,9 +40,7 @@ SCORES = {
 
 
 def main() -> None:
-    table = ScoreTable()
-    for user, posts in SCORES.items():
-        table.add_many(user, posts)
+    table = ScoreTable.from_mapping(SCORES)
     dataset = bind_dataset(
         build_graph(EDGES, isolated_ids=["fay"]),
         table,

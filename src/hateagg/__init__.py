@@ -31,6 +31,7 @@ from .features import (
 )
 from .graph import (
     ComponentCounts,
+    EdgeList,
     GraphStats,
     SocialGraph,
     build_graph,
@@ -76,6 +77,7 @@ __all__ = [
     "BeliefVector",
     "BindPolicy",
     "ComponentCounts",
+    "EdgeList",
     "Dataset",
     "DegenerateDataError",
     "DiffusionConfig",

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable
+from typing import IO, Callable, Iterator
 
 from .degroot import DiffusionConfig, degroot_init, degroot_run
 from .errors import DegenerateDataError, InputError
@@ -34,7 +35,7 @@ from .ingest import (
     write_scores,
 )
 from .learn import LearnConfig, cross_validate, threshold_sweep, train_logreg
-from .serialize import csv_line, dump_json, fmt_float
+from .serialize import csv_line, dump_json, fmt_float, write_rows
 from .synth import SynthConfig, generate, planted_labels, user_ids
 
 SWEEP_HEADER = "threshold,precision,recall,f1,roc_auc"
@@ -54,18 +55,31 @@ def _parse_file(path: str, parser: Callable, what: str):
         try:
             raw.decode("utf-8")
         except UnicodeDecodeError as exc:
-            line = raw.count(b"\n", 0, exc.start) + 1
+            # line ends as universal newlines reads them: \r\n, \r and \n
+            ends = (
+                raw.count(b"\n", 0, exc.start)
+                + raw.count(b"\r", 0, exc.start)
+                - raw.count(b"\r\n", 0, exc.start)
+            )
+            line = ends + 1
             raise InputError(
                 f"{what} file {path} line {line}: invalid UTF-8 ({exc.reason})"
             ) from exc
         raise
 
 
-def _write_text(path: str, text: str) -> None:
+@contextmanager
+def _output(path: str) -> Iterator[IO[str]]:
+    """The text stream for an output path; ``-`` is stdout."""
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     with open(path, "w", encoding="utf-8") as fh:
+        yield fh
+
+
+def _write_text(path: str, text: str) -> None:
+    with _output(path) as fh:
         fh.write(text)
 
 
@@ -162,10 +176,8 @@ def cmd_stats(args) -> int:
 def cmd_features(args) -> int:
     dataset = _load_dataset(args)
     fm = build_features(dataset, args.mode, _agg_config(args), threads=args.threads)
-    lines = ["user_id," + ",".join(fm.schema)]
-    for uid, row in zip(fm.user_ids, fm.values):
-        lines.append(csv_line([uid, *[float(v) for v in row]]))
-    _write_text(args.out, "\n".join(lines) + "\n")
+    with _output(args.out) as fh:
+        fm.to_csv(fh)
     _write_config_sidecar(args.out, _feature_echo(args))
     return 0
 
@@ -278,10 +290,9 @@ def cmd_diffuse(args) -> int:
         tol=config.tol,
         direction=config.direction,
     )
-    lines = ["user_id,belief"]
-    for uid, b in zip(dataset.graph.ids, beliefs.values):
-        lines.append(f"{uid},{fmt_float(float(b))}")
-    _write_text(args.out, "\n".join(lines) + "\n")
+    with _output(args.out) as fh:
+        fh.write("user_id,belief\n")
+        write_rows(fh, [dataset.graph.ids], beliefs.values[:, None])
     log_lines = [
         f'{{"iteration": {entry["iteration"]}, '
         f'"max_change": {fmt_float(entry["max_change"])}}}'
@@ -333,11 +344,8 @@ def cmd_synth(args) -> int:
         write_scores(dataset.scores, fh)
     with open(outdir / "labels.csv", "w", encoding="utf-8") as fh:
         write_labels(dataset.labels, fh)
-    truth = planted_labels(config)
-    ids = user_ids(config.n_users)
     with open(outdir / "ground_truth.csv", "w", encoding="utf-8") as fh:
-        for uid, label in zip(ids, truth):
-            fh.write(f"{uid},{int(label)}\n")
+        write_rows(fh, [user_ids(config.n_users), planted_labels(config)], key_fmt="%s,%d")
     echo = {"subcommand": "synth", **config.to_dict(), "out_dir": str(outdir)}
     with open(outdir / "config.json", "w", encoding="utf-8") as fh:
         fh.write(dump_json(echo))

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import InputError
 from .ingest import Dataset, ScoreTable
-from .serialize import csv_line
+from .serialize import write_rows
 
 __all__ = [
     "AggregationConfig",
@@ -93,8 +93,7 @@ class FeatureMatrix:
 
     def to_csv(self, stream: IO[str]) -> None:
         stream.write("user_id," + ",".join(self.schema) + "\n")
-        for uid, row in zip(self.user_ids, self.values):
-            stream.write(csv_line([uid, *[float(v) for v in row]]) + "\n")
+        write_rows(stream, [self.user_ids], self.values)
 
 
 # -- scalar per-user operations ----------------------------------------------
@@ -195,20 +194,9 @@ def _scored_segments(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarr
     ``values[offsets[j]:offsets[j + 1]]``.
     """
     g = dataset.graph
-    present = [u for u in dataset.scores.users() if u in g.id_index]
-    order = np.argsort([g.id_index[u] for u in present], kind="stable")
-    arrays = []
-    nodes = np.empty(len(present), dtype=np.int64)
-    lengths = np.empty(len(present), dtype=np.int64)
-    for pos, oi in enumerate(order):
-        u = present[int(oi)]
-        a = dataset.scores.scores(u)
-        nodes[pos] = g.id_index[u]
-        lengths[pos] = len(a)
-        arrays.append(a)
-    values = np.concatenate(arrays) if arrays else np.zeros(0)
-    offsets = np.zeros(len(present) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=offsets[1:])
+    rows = dataset.scores.rows_of(g.ids)
+    nodes = np.flatnonzero(rows >= 0)
+    offsets, values = dataset.scores.segments(rows[nodes])
     return nodes, offsets, values
 
 

@@ -14,6 +14,7 @@ view: parallel and reciprocal edges collapse to a single undirected link.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -23,6 +24,7 @@ from .errors import DegenerateDataError, InputError
 
 __all__ = [
     "SocialGraph",
+    "EdgeList",
     "GraphStats",
     "ComponentCounts",
     "build_graph",
@@ -35,23 +37,99 @@ __all__ = [
 ]
 
 
-def _csr_from_sorted(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) from edge arrays; sorts and dedups (src, dst)."""
+def _csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of the distinct (src, dst) pairs, rows and columns sorted.
+
+    Each pair packs into one int64 key ``src * n + dst``, so a single sort
+    orders by source then destination and equal neighbors dedup in one pass.
+    """
     if len(src) == 0:
         return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int32)
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
-    keep = np.empty(len(src), dtype=bool)
+    # int64 before the multiply: int32 src * n overflows once n > 46,341
+    key = src.astype(np.int64) * n + dst
+    key.sort()
+    keep = np.empty(len(key), dtype=bool)
     keep[0] = True
-    np.not_equal(src[1:], src[:-1], out=keep[1:])
-    keep[1:] |= dst[1:] != dst[:-1]
-    src = src[keep]
-    dst = dst[keep]
-    counts = np.bincount(src, minlength=n)
+    np.not_equal(key[1:], key[:-1], out=keep[1:])
+    rows, cols = np.divmod(key[keep], n)
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
-    return indptr, dst.astype(np.int32, copy=False)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols.astype(np.int32)
+
+
+def intern_ids(tokens: list, index: dict, ids: list) -> np.ndarray:
+    """Dense codes of ``tokens``, numbering ids in first-seen order.
+
+    ``index`` (id -> code) and ``ids`` (code -> id) hold the ids seen so far
+    and are extended in place, so a stream can be interned block by block.
+    One ``setdefault`` pass maps each new id to ``base + its first position``;
+    ranking those first positions turns them into dense codes.
+    """
+    base = len(ids)
+    first = np.fromiter(
+        map(index.setdefault, tokens, itertools.count(base)),
+        dtype=np.int64,
+        count=len(tokens),
+    )
+    starts = np.flatnonzero(first == np.arange(base, base + len(tokens)))
+    new = first >= base
+    rank = np.empty(len(tokens), dtype=np.int64)
+    rank[starts] = np.arange(base, base + len(starts))
+    first[new] = rank[first[new] - base]
+    new_ids = list(map(tokens.__getitem__, starts.tolist()))
+    index.update(zip(new_ids, range(base, base + len(new_ids))))
+    ids.extend(new_ids)
+    return first
+
+
+@dataclass
+class EdgeList:
+    """Directed edges as interned codes, one entry per input edge, in input order.
+
+    Edge ``k`` runs from ``ids[src[k]]`` to ``ids[dst[k]]``; ids are numbered
+    in first-seen order. Duplicates are kept; the graph collapses them.
+    """
+
+    ids: list
+    src: np.ndarray
+    dst: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.src)
+
+    def __iter__(self) -> Iterator[tuple[str, str]]:
+        ids = self.ids
+        return zip(map(ids.__getitem__, self.src.tolist()), map(ids.__getitem__, self.dst.tolist()))
+
+    @classmethod
+    def from_pairs(cls, edge_pairs: Iterable[tuple[str, str]]) -> "EdgeList":
+        """Intern (follower, followee) pairs; rejects malformed pairs, empty ids and self-loops."""
+        pairs = list(edge_pairs)
+        try:
+            well_formed = set(map(len, pairs)) <= {2}
+        except TypeError:
+            well_formed = False
+        if not well_formed:
+            _raise_bad_pair(pairs)
+        ids: list = []
+        codes = intern_ids(list(itertools.chain.from_iterable(pairs)), {}, ids)
+        src, dst = codes[0::2], codes[1::2]
+        if not all(ids) or np.any(src == dst):
+            _raise_bad_pair(pairs)
+        return cls(ids, src, dst)
+
+
+def _raise_bad_pair(pairs: list) -> None:
+    """Raise for the first malformed pair, empty id or self-loop, by position."""
+    for pos, pair in enumerate(pairs, start=1):
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise InputError(f"edge {pos}: expected a (src, dst) pair, got {pair!r}")
+        if not u or not v:
+            raise InputError(f"edge {pos}: empty user id in ({u!r}, {v!r})")
+        if u == v:
+            raise InputError(f"edge {pos}: self-loop on {u!r}")
 
 
 class SocialGraph:
@@ -69,8 +147,8 @@ class SocialGraph:
         n = len(ids)
         self.ids = ids
         self.id_index = {u: i for i, u in enumerate(ids)}
-        self.out_indptr, self.out_indices = _csr_from_sorted(src, dst, n)
-        self.in_indptr, self.in_indices = _csr_from_sorted(dst, src, n)
+        self.out_indptr, self.out_indices = _csr(src, dst, n)
+        self.in_indptr, self.in_indices = _csr(dst, src, n)
         self._und: tuple[np.ndarray, np.ndarray] | None = None
         self._row_ids: dict[str, np.ndarray] = {}
 
@@ -126,7 +204,7 @@ class SocialGraph:
             dst = self.out_indices
             both_src = np.concatenate([src, dst])
             both_dst = np.concatenate([dst, src])
-            self._und = _csr_from_sorted(both_src, both_dst, self.node_count)
+            self._und = _csr(both_src, both_dst, self.node_count)
         return self._und
 
     def undirected_degrees(self) -> np.ndarray:
@@ -213,44 +291,22 @@ def build_graph(
 ) -> SocialGraph:
     """Intern ids and build the graph from (follower, followee) string pairs.
 
+    ``edge_pairs`` may also be an :class:`EdgeList` (what
+    :func:`hateagg.ingest.read_edges` returns), which is already interned.
     Duplicate edges are collapsed. Self-loops and empty ids are rejected with
     the offending pair's position. ``isolated_ids`` registers nodes with no
     edges; they are appended after all edge endpoints, in sorted order so node
     indexing never depends on set iteration order.
     """
-    ids: list[str] = []
-    index: dict[str, int] = {}
-    src_list: list[int] = []
-    dst_list: list[int] = []
-
-    def intern(u: str) -> int:
-        i = index.get(u)
-        if i is None:
-            i = len(ids)
-            index[u] = i
-            ids.append(u)
-        return i
-
-    for pos, pair in enumerate(edge_pairs, start=1):
-        try:
-            u, v = pair
-        except (TypeError, ValueError):
-            raise InputError(f"edge {pos}: expected a (src, dst) pair, got {pair!r}")
-        if not u or not v:
-            raise InputError(f"edge {pos}: empty user id in ({u!r}, {v!r})")
-        if u == v:
-            raise InputError(f"edge {pos}: self-loop on {u!r}")
-        src_list.append(intern(u))
-        dst_list.append(intern(v))
-
-    for u in sorted(set(isolated_ids)):
-        if not u:
+    edges = edge_pairs if isinstance(edge_pairs, EdgeList) else EdgeList.from_pairs(edge_pairs)
+    ids = edges.ids
+    isolated = sorted(set(isolated_ids))
+    if isolated:
+        if not all(isolated):
             raise InputError("isolated id must be nonempty")
-        intern(u)
-
-    src = np.asarray(src_list, dtype=np.int64)
-    dst = np.asarray(dst_list, dtype=np.int64)
-    return SocialGraph(ids, src, dst)
+        ids = list(ids)
+        intern_ids(isolated, {u: i for i, u in enumerate(ids)}, ids)
+    return SocialGraph(ids, edges.src, edges.dst)
 
 
 def _component_labels(g: SocialGraph) -> tuple[int, np.ndarray]:

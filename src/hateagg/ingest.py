@@ -15,14 +15,15 @@ utterance model the deployment uses; this package never sees text.
 from __future__ import annotations
 
 import io
+import itertools
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator
+from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DegenerateDataError, InputError
-from .graph import SocialGraph, build_graph, largest_wcc
-from .serialize import csv_line
+from .errors import InputError
+from .graph import EdgeList, SocialGraph, intern_ids, largest_wcc
+from .serialize import write_rows
 
 __all__ = [
     "ScoreTable",
@@ -39,26 +40,77 @@ __all__ = [
 ]
 
 
-def _lines(stream: IO[str] | str) -> Iterator[tuple[int, str]]:
+# characters read per block: only one block's lines and tokens are alive at once
+_BLOCK_CHARS = 1 << 18
+
+
+def _line_blocks(stream: IO[str] | str) -> Iterator[tuple[int, list[str]]]:
+    """Yield (number of the first line, raw lines without their newline) per block.
+
+    Lines split where iterating the stream would split them, so line numbers
+    match ``enumerate(stream, start=1)``.
+    """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
-    for lineno, raw in enumerate(stream, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        yield lineno, line
+    lineno = 1
+    pending: list[str] = []  # the unterminated tail of what was read so far
+    while True:
+        chunk = stream.read(_BLOCK_CHARS)
+        cut = chunk.rfind("\n")
+        if cut < 0:
+            if chunk:
+                pending.append(chunk)
+                continue
+            text = "".join(pending)  # end of stream: a last line without newline
+            if text:
+                yield lineno, [text]
+            return
+        pending.append(chunk[:cut])
+        lines = "".join(pending).split("\n")
+        pending = [chunk[cut + 1 :]]
+        yield lineno, lines
+        lineno += len(lines)
 
 
-def read_edges(stream: IO[str] | str) -> list[tuple[str, str]]:
-    """Parse an edge file into (follower, followee) pairs.
+def _checked_lines(raw: list[str], fields: int, comments: bool) -> list[str] | None:
+    """Stripped data lines of a block, or None unless each has ``fields`` fields."""
+    lines = list(filter(None, map(str.strip, raw)))
+    if comments:
+        lines = [line for line in lines if line[0] != "#"]
+    if not set(map(str.count, lines, itertools.repeat(","))) <= {fields - 1}:
+        return None
+    return lines
 
-    Validation of the pairs themselves (self-loops, empty ids) happens in
-    :func:`hateagg.graph.build_graph`; this reader rejects lines that are not
-    two comma-separated fields.
+
+def read_edges(stream: IO[str] | str) -> EdgeList:
+    """Parse an edge file into interned (follower, followee) edges, one per edge line.
+
+    Ids are numbered in first-seen order. Lines that are not two
+    comma-separated fields, empty ids and self-loops are rejected with the
+    line number.
     """
-    pairs = []
-    for lineno, line in _lines(stream):
-        if line.startswith("#"):
+    ids: list[str] = []
+    index: dict[str, int] = {}
+    srcs, dsts = [], []
+    for first, raw in _line_blocks(stream):
+        lines = _checked_lines(raw, 2, comments=True)
+        if lines is None:
+            _rescan_edges(first, raw)
+        tokens = list(map(str.strip, ",".join(lines).split(","))) if lines else []
+        codes = intern_ids(tokens, index, ids)
+        src, dst = codes[0::2], codes[1::2]
+        if "" in index or np.any(src == dst):
+            _rescan_edges(first, raw)
+        srcs.append(src)
+        dsts.append(dst)
+    empty = np.zeros(0, dtype=np.int64)
+    return EdgeList(ids, np.concatenate([empty, *srcs]), np.concatenate([empty, *dsts]))
+
+
+def _rescan_edges(first: int, raw: list[str]) -> None:
+    """Raise the error of the first bad line in a block that failed a bulk check."""
+    for lineno, line in enumerate(map(str.strip, raw), start=first):
+        if not line or line.startswith("#"):
             continue
         parts = line.split(",")
         if len(parts) != 2:
@@ -68,78 +120,129 @@ def read_edges(stream: IO[str] | str) -> list[tuple[str, str]]:
             raise InputError(f"edges line {lineno}: empty user id")
         if src == dst:
             raise InputError(f"edges line {lineno}: self-loop on {src!r}")
-        pairs.append((src, dst))
-    return pairs
+    raise AssertionError("a bulk edge check failed but no line is bad")
 
 
 class ScoreTable:
-    """Per-user ordered sequences of post hate-probabilities.
+    """Per-user ordered sequences of post hate-probabilities, stored by column.
 
-    Users appear in first-seen order; scores keep file order within a user.
-    A user may have zero posts only if registered explicitly via
-    :meth:`register_user`.
+    User ``users()[j]`` owns ``values[offsets[j]:offsets[j + 1]]``. Users
+    appear in first-seen order, scores keep file order within a user, and a
+    user may own zero posts.
     """
 
-    def __init__(self) -> None:
-        self._scores: dict[str, list[float]] = {}
-        self.total_posts = 0
+    def __init__(self, users: list[str], offsets: np.ndarray, values: np.ndarray) -> None:
+        self._users = list(users)
+        self._row = {u: j for j, u in enumerate(self._users)}
+        if len(self._row) != len(self._users):
+            raise InputError("score table users must be distinct")
+        self.offsets = np.asarray(offsets, dtype=np.int64)
+        self.values = np.asarray(values, dtype=np.float64)
+        if len(self.offsets) != len(self._users) + 1 or self.offsets[-1] != len(self.values):
+            raise InputError("score table offsets do not match its users and values")
 
-    def add(self, user: str, score: float) -> None:
-        self._scores.setdefault(user, []).append(score)
-        self.total_posts += 1
+    @classmethod
+    def from_mapping(cls, scores: Mapping[str, Iterable[float]]) -> "ScoreTable":
+        """Table of ``{user: scores}``, users in the mapping's order."""
+        arrays = [np.fromiter(v, dtype=np.float64) for v in scores.values()]
+        offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
+        np.cumsum([len(a) for a in arrays], out=offsets[1:])
+        return cls(list(scores), offsets, np.concatenate([np.zeros(0), *arrays]))
 
-    def add_many(self, user: str, scores: Iterable[float]) -> None:
-        seq = [float(s) for s in scores]
-        self._scores.setdefault(user, []).extend(seq)
-        self.total_posts += len(seq)
-
-    def register_user(self, user: str) -> None:
-        """Ensure the user exists, possibly with an empty post list."""
-        self._scores.setdefault(user, [])
+    @property
+    def total_posts(self) -> int:
+        return len(self.values)
 
     def users(self) -> list[str]:
-        return list(self._scores)
+        return list(self._users)
 
     def scores(self, user: str) -> np.ndarray:
-        if user not in self._scores:
+        j = self._row.get(user)
+        if j is None:
             raise InputError(f"unknown user {user!r} in score table")
-        return np.asarray(self._scores[user], dtype=np.float64)
+        return self.values[self.offsets[j] : self.offsets[j + 1]].copy()
 
     def n_posts(self, user: str) -> int:
-        return len(self._scores[user])
+        j = self._row[user]
+        return int(self.offsets[j + 1] - self.offsets[j])
 
     def __contains__(self, user: str) -> bool:
-        return user in self._scores
+        return user in self._row
 
     def __len__(self) -> int:
-        return len(self._scores)
+        return len(self._users)
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        for user in self._scores:
+        for user in self._users:
             yield user, self.scores(user)
+
+    def rows_of(self, users: Iterable[str]) -> np.ndarray:
+        """Row of each user in ``users``, -1 for users not in the table."""
+        return np.fromiter(map(self._row.get, users, itertools.repeat(-1)), dtype=np.int64)
+
+    def segments(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(offsets, values) of the given rows, concatenated in the given order."""
+        starts = self.offsets[rows]
+        lengths = self.offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        gather = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
+        return offsets, self.values[gather]
 
     def restrict(self, users: Iterable[str]) -> "ScoreTable":
         """New table keeping only the given users (original order preserved)."""
         wanted = set(users)
-        out = ScoreTable()
-        for user, scores in self._scores.items():
-            if user in wanted:
-                out._scores[user] = list(scores)
-                out.total_posts += len(scores)
-        return out
+        keep = np.fromiter(
+            map(wanted.__contains__, self._users), dtype=bool, count=len(self._users)
+        )
+        rows = np.flatnonzero(keep)
+        offsets, values = self.segments(rows)
+        return ScoreTable(list(itertools.compress(self._users, keep.tolist())), offsets, values)
+
+    def with_users(self, users: list[str]) -> "ScoreTable":
+        """New table with the given new users appended, each with zero posts."""
+        offsets = np.concatenate([self.offsets, np.full(len(users), self.offsets[-1])])
+        return ScoreTable(self._users + users, offsets, self.values)
 
 
 def parse_scores(stream: IO[str] | str) -> ScoreTable:
     """Parse a score file; rejects non-numeric or out-of-range scores."""
-    table = ScoreTable()
-    for lineno, line in _lines(stream):
+    users: list[str] = []
+    index: dict[str, int] = {}
+    codes, values = [], []
+    for first, raw in _line_blocks(stream):
+        lines = _checked_lines(raw, 3, comments=False)
+        if lines is None:
+            _rescan_scores(first, raw)
+        tokens = ",".join(lines).split(",") if lines else []
+        try:
+            block = np.fromiter(map(float, tokens[2::3]), dtype=np.float64, count=len(lines))
+        except ValueError:
+            _rescan_scores(first, raw)
+        code = intern_ids(list(map(str.strip, tokens[0::3])), index, users)
+        if "" in index or not np.all((block >= 0.0) & (block <= 1.0)):
+            _rescan_scores(first, raw)
+        codes.append(code)
+        values.append(block)
+    code = np.concatenate([np.zeros(0, dtype=np.int64), *codes])
+    # group rows by user; the stable sort keeps file order within each user
+    order = np.argsort(code, kind="stable")
+    offsets = np.zeros(len(users) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(code, minlength=len(users)), out=offsets[1:])
+    return ScoreTable(users, offsets, np.concatenate([np.zeros(0), *values])[order])
+
+
+def _rescan_scores(first: int, raw: list[str]) -> None:
+    """Raise the error of the first bad line in a block that failed a bulk check."""
+    for lineno, line in enumerate(map(str.strip, raw), start=first):
+        if not line:
+            continue
         parts = line.split(",")
         if len(parts) != 3:
             raise InputError(
                 f"scores line {lineno}: expected 'user_id,post_id,score', got {line!r}"
             )
-        user = parts[0].strip()
-        if not user:
+        if not parts[0].strip():
             raise InputError(f"scores line {lineno}: empty user id")
         try:
             score = float(parts[2])
@@ -147,8 +250,14 @@ def parse_scores(stream: IO[str] | str) -> ScoreTable:
             raise InputError(f"scores line {lineno}: non-numeric score {parts[2]!r}")
         if not (0.0 <= score <= 1.0):
             raise InputError(f"scores line {lineno}: score {score} outside [0, 1]")
-        table.add(user, score)
-    return table
+    raise AssertionError("a bulk score check failed but no line is bad")
+
+
+def _lines(stream: IO[str] | str) -> Iterator[tuple[int, str]]:
+    for first, raw in _line_blocks(stream):
+        for lineno, line in enumerate(map(str.strip, raw), start=first):
+            if line:
+                yield lineno, line
 
 
 class LabelSet:
@@ -281,34 +390,27 @@ def bind_dataset(
         "dropped_labels": 0,
     }
 
-    known = set(graph.id_index)
-    scored_outside = [u for u in scores.users() if u not in known]
+    scored_outside = list(itertools.filterfalse(graph.id_index.__contains__, scores.users()))
     if policy.restrict_to_wcc:
         g = largest_wcc(graph)
-        kept = set(g.id_index)
         summary["dropped_by_wcc"] = graph.node_count - g.node_count
-        summary["dropped_scored_users"] = len(scored_outside) + sum(
-            1 for u in scores.users() if u in known and u not in kept
+    elif policy.keep_unknown_scored_users and scored_outside:
+        src, dst = graph.edge_arrays()
+        g = SocialGraph(
+            graph.ids + sorted(scored_outside),
+            src.astype(np.int64),
+            dst.astype(np.int64),
         )
     else:
-        if policy.keep_unknown_scored_users and scored_outside:
-            src, dst = graph.edge_arrays()
-            g = SocialGraph(
-                graph.ids + sorted(scored_outside),
-                src.astype(np.int64),
-                dst.astype(np.int64),
-            )
-        else:
-            g = graph
-            summary["dropped_scored_users"] = len(scored_outside)
-        kept = set(g.id_index)
-
+        g = graph
+    kept = g.id_index
     bound_scores = scores.restrict(kept)
+    summary["dropped_scored_users"] = len(scores) - len(bound_scores)
 
-    bound_labels = LabelSet()
-    ever_seen = known | set(scores.users())
+    bound_labels: dict[str, int] = {}
+    zero_post: list[str] = []
     for user, label in labels.items():
-        if user not in ever_seen:
+        if user not in graph.id_index and user not in scores:
             raise InputError(f"label for unknown user {user!r}")
         if user not in kept:
             summary["dropped_labels"] += 1
@@ -319,31 +421,35 @@ def bind_dataset(
                     f"labeled user {user!r} has no score record "
                     "(set allow_zero_post_users to accept)"
                 )
-            bound_scores.register_user(user)
-        bound_labels.set(user, label)
+            zero_post.append(user)
+        bound_labels[user] = label
+    bound_scores = bound_scores.with_users(zero_post)
 
     summary["users"] = g.node_count
     summary["edges"] = g.edge_count
     summary["scored_users"] = len(bound_scores)
     summary["labeled_users"] = len(bound_labels)
-    return Dataset(graph=g, scores=bound_scores, labels=bound_labels, discard_summary=summary)
+    return Dataset(
+        graph=g, scores=bound_scores, labels=LabelSet(bound_labels), discard_summary=summary
+    )
 
 
 # -- writers (inverse of the parsers; 17-digit floats round-trip exactly) ----
 
 
 def write_edges(graph: SocialGraph, stream: IO[str]) -> None:
-    for u, v in graph.edges():
-        stream.write(f"{u},{v}\n")
+    ids = np.array(graph.ids, dtype=object)
+    src, dst = graph.edge_arrays()
+    write_rows(stream, [ids[src], ids[dst]], key_fmt="%s,%s")
 
 
 def write_scores(table: ScoreTable, stream: IO[str]) -> None:
     """Emit ``user_id,post_id,score`` rows; post ids are synthesized as p<k>."""
-    for user, scores in table.items():
-        for k, s in enumerate(scores):
-            stream.write(csv_line([user, f"p{k}", float(s)]) + "\n")
+    lengths = np.diff(table.offsets)
+    users = np.repeat(np.array(table.users(), dtype=object), lengths)
+    post = np.arange(table.total_posts) - np.repeat(table.offsets[:-1], lengths)
+    write_rows(stream, [users, post], table.values[:, None], key_fmt="%s,p%d")
 
 
 def write_labels(labels: LabelSet, stream: IO[str]) -> None:
-    for user, label in labels.items():
-        stream.write(f"{user},{label}\n")
+    write_rows(stream, [labels.users(), [label for _, label in labels.items()]], key_fmt="%s,%s")

@@ -9,7 +9,12 @@ and output bytes are stable across Python versions.
 from __future__ import annotations
 
 import math
-from typing import Any
+from typing import IO, Any, Sequence
+
+import numpy as np
+
+# rows per write_rows block: bounds the strings alive at once, amortizes numpy calls
+_BLOCK_ROWS = 4096
 
 
 def fmt_float(x: float) -> str:
@@ -94,3 +99,36 @@ def csv_cell(value: Any) -> str:
 
 def csv_line(values: list[Any] | tuple[Any, ...]) -> str:
     return ",".join(csv_cell(v) for v in values)
+
+
+def write_rows(
+    stream: IO[str],
+    keys: Sequence[Sequence[Any]],
+    values: np.ndarray | None = None,
+    key_fmt: str = "%s",
+) -> None:
+    """Write CSV rows in blocks: key columns, then float columns.
+
+    ``keys`` are the leading columns (lists or 1-D arrays of equal length),
+    rendered together by the %-format ``key_fmt``; ``values`` is an
+    ``(n_rows, k)`` array whose cells are rendered as by :func:`fmt_float`,
+    each after a comma. Every row ends in a newline, so a row reads
+    ``key_fmt % key_cells`` followed by ``"," + fmt_float(v)`` per value.
+    """
+    n_rows = len(keys[0])
+    if values is None:
+        values = np.zeros((n_rows, 0))
+    fmt = key_fmt + ",%.17g" * values.shape[1] + "\n"
+    n_keys = len(keys)
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        stop = min(start + _BLOCK_ROWS, n_rows)
+        block = np.asarray(values[start:stop], dtype=np.float64)
+        cols = [col[start:stop] for col in keys]
+        cols = [col.tolist() if isinstance(col, np.ndarray) else col for col in cols]
+        rows = list(zip(*cols, *block.T.tolist()))
+        lines = list(map(fmt.__mod__, rows))
+        # %.17g spells the specials nan/inf; those rows take fmt_float's spelling
+        for r in np.flatnonzero(~np.isfinite(block).all(axis=1)).tolist():
+            head, cells = rows[r][:n_keys], rows[r][n_keys:]
+            lines[r] = key_fmt % head + "".join("," + fmt_float(v) for v in cells) + "\n"
+        stream.write("".join(lines))

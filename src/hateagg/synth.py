@@ -190,12 +190,9 @@ def generate(config: SynthConfig) -> Dataset:
         rng.beta(a_n, b_n, size=total_posts),
     )
 
-    table = ScoreTable()
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
-    value_list = values.tolist()
-    for k, node in enumerate(scored_idx.tolist()):
-        table.add_many(ids[node], value_list[offsets[k] : offsets[k + 1]])
+    table = ScoreTable([ids[node] for node in scored_idx.tolist()], offsets, values)
 
     labels = LabelSet({ids[i]: int(truth[i]) for i in labeled_idx.tolist()})
     summary = {

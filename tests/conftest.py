@@ -30,11 +30,7 @@ def make_dataset(
 ) -> Dataset:
     """Assemble a dataset from literal python structures."""
     graph = build_graph(edges, isolated_ids=isolated)
-    table = ScoreTable()
-    for user, vals in (scores or {}).items():
-        table.register_user(user)
-        for v in vals:
-            table.add(user, v)
+    table = ScoreTable.from_mapping(scores or {})
     labelset = LabelSet()
     for user, label in (labels or {}).items():
         labelset.set(user, label)
@@ -61,12 +57,9 @@ def random_dataset(
     src, dst = np.nonzero(mask)
     edges = [(ids[a], ids[b]) for a, b in zip(src, dst)]
 
-    table = ScoreTable()
-    for i in range(n):
-        table.register_user(ids[i])
-        n_posts = int(rng.integers(0, max_posts + 1))
-        for v in rng.random(n_posts):
-            table.add(ids[i], float(v))
+    table = ScoreTable.from_mapping(
+        {ids[i]: rng.random(int(rng.integers(0, max_posts + 1))) for i in range(n)}
+    )
 
     labelset = LabelSet()
     if label_fraction > 0:

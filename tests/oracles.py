@@ -7,12 +7,138 @@ paths. When both routes agree, the fast path inherits the trust.
 
 from __future__ import annotations
 
+import io
 import math
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from hateagg import Dataset
+from hateagg import Dataset, InputError
+from hateagg.serialize import csv_line
+
+
+# -- parsing, interning and CSR ------------------------------------------------
+
+
+def _numbered_lines(stream):
+    if isinstance(stream, str):
+        stream = io.StringIO(stream)
+    for lineno, raw in enumerate(stream, start=1):
+        line = raw.strip()
+        if line:
+            yield lineno, line
+
+
+def naive_read_edges(stream) -> list[tuple[str, str]]:
+    """Edge file -> (follower, followee) pairs, one line at a time."""
+    pairs = []
+    for lineno, line in _numbered_lines(stream):
+        if line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise InputError(f"edges line {lineno}: expected 'src_id,dst_id', got {line!r}")
+        src, dst = parts[0].strip(), parts[1].strip()
+        if not src or not dst:
+            raise InputError(f"edges line {lineno}: empty user id")
+        if src == dst:
+            raise InputError(f"edges line {lineno}: self-loop on {src!r}")
+        pairs.append((src, dst))
+    return pairs
+
+
+def naive_parse_scores(stream) -> dict[str, list[float]]:
+    """Score file -> {user: scores in file order}, users in first-seen order."""
+    table: dict[str, list[float]] = {}
+    for lineno, line in _numbered_lines(stream):
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise InputError(
+                f"scores line {lineno}: expected 'user_id,post_id,score', got {line!r}"
+            )
+        user = parts[0].strip()
+        if not user:
+            raise InputError(f"scores line {lineno}: empty user id")
+        try:
+            score = float(parts[2])
+        except ValueError:
+            raise InputError(f"scores line {lineno}: non-numeric score {parts[2]!r}")
+        if not (0.0 <= score <= 1.0):
+            raise InputError(f"scores line {lineno}: score {score} outside [0, 1]")
+        table.setdefault(user, []).append(score)
+    return table
+
+
+def naive_build_graph(edge_pairs, isolated_ids=()) -> tuple[list, np.ndarray, np.ndarray]:
+    """(ids, src codes, dst codes): ids numbered per pair in first-seen order."""
+    ids: list = []
+    index: dict = {}
+    src_list: list[int] = []
+    dst_list: list[int] = []
+
+    def intern(u) -> int:
+        i = index.get(u)
+        if i is None:
+            i = len(ids)
+            index[u] = i
+            ids.append(u)
+        return i
+
+    for pos, pair in enumerate(edge_pairs, start=1):
+        try:
+            u, v = pair
+        except (TypeError, ValueError):
+            raise InputError(f"edge {pos}: expected a (src, dst) pair, got {pair!r}")
+        if not u or not v:
+            raise InputError(f"edge {pos}: empty user id in ({u!r}, {v!r})")
+        if u == v:
+            raise InputError(f"edge {pos}: self-loop on {u!r}")
+        src_list.append(intern(u))
+        dst_list.append(intern(v))
+
+    for u in sorted(set(isolated_ids)):
+        if not u:
+            raise InputError("isolated id must be nonempty")
+        intern(u)
+    return ids, np.asarray(src_list, dtype=np.int64), np.asarray(dst_list, dtype=np.int64)
+
+
+def lexsort_csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the distinct (src, dst) pairs via lexsort and a two-column dedup."""
+    if len(src) == 0:
+        return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int32)
+    order = np.lexsort((dst, src))
+    src = src[order]
+    dst = dst[order]
+    keep = np.empty(len(src), dtype=bool)
+    keep[0] = True
+    np.not_equal(src[1:], src[:-1], out=keep[1:])
+    keep[1:] |= dst[1:] != dst[:-1]
+    src = src[keep]
+    dst = dst[keep]
+    counts = np.bincount(src, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, dst.astype(np.int32, copy=False)
+
+
+# -- writers -------------------------------------------------------------------
+
+
+def naive_write_edges(graph) -> str:
+    return "".join(f"{u},{v}\n" for u, v in graph.edges())
+
+
+def naive_write_scores(table) -> str:
+    return "".join(
+        csv_line([user, f"p{k}", float(s)]) + "\n"
+        for user, scores in table.items()
+        for k, s in enumerate(scores)
+    )
+
+
+def naive_write_labels(labels) -> str:
+    return "".join(f"{user},{label}\n" for user, label in labels.items())
 
 
 # -- aggregation features ------------------------------------------------------

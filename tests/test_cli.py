@@ -84,6 +84,17 @@ class TestStats:
         err = capsys.readouterr().err
         assert f"{edges} line {line}: invalid UTF-8" in err
 
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n", b"\n"])
+    def test_invalid_utf8_line_counts_every_line_ending(self, tmp_path, capsys, end):
+        edges = tmp_path / "e.csv"
+        edges.write_bytes(end.join([b"a,b", b"c,d", b"\xff,e", b""]))
+        assert run("stats", "--edges", str(edges)) == 2
+        assert f"{edges} line 3: invalid UTF-8" in capsys.readouterr().err
+        # a parse error in the same layout names the same line
+        edges.write_bytes(end.join([b"a,b", b"c,d", b"e,e", b""]))
+        assert run("stats", "--edges", str(edges)) == 2
+        assert "line 3: self-loop" in capsys.readouterr().err
+
     def test_byte_order_mark_is_not_part_of_an_id(self, tmp_path):
         edges = tmp_path / "e.csv"
         out = tmp_path / "stats.json"

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from hateagg import (
     DegenerateDataError,
     InputError,
+    SocialGraph,
     build_graph,
     clustering_coefficient,
     component_stats,
@@ -19,7 +20,12 @@ from hateagg import (
     powerlaw_gamma_mle,
 )
 
-from oracles import brute_clustering, numeric_gamma, union_find_component_count
+from oracles import (
+    brute_clustering,
+    lexsort_csr,
+    numeric_gamma,
+    union_find_component_count,
+)
 
 
 def random_edges(rng, n, p):
@@ -273,3 +279,43 @@ class TestNeighborSums:
         expect_in = A.T @ values
         assert np.allclose(g.neighbor_sums(values, "out"), expect_out, atol=1e-12)
         assert np.allclose(g.neighbor_sums(values, "in"), expect_in, atol=1e-12)
+
+
+def assert_csr_matches_lexsort(g, src, dst):
+    n = g.node_count
+    both_src = np.concatenate([src, dst])
+    both_dst = np.concatenate([dst, src])
+    views = (
+        ((g.out_indptr, g.out_indices), lexsort_csr(src, dst, n)),
+        ((g.in_indptr, g.in_indices), lexsort_csr(dst, src, n)),
+        (g.undirected_csr(), lexsort_csr(both_src, both_dst, n)),
+    )
+    for (indptr, indices), (want_ptr, want_idx) in views:
+        assert np.array_equal(indptr, want_ptr)
+        assert np.array_equal(indices, want_idx)
+        assert indptr.dtype == want_ptr.dtype
+        assert indices.dtype == want_idx.dtype
+
+
+class TestPackedKeyCsr:
+    @given(n=st.integers(1, 30), data=st.data())
+    def test_matches_lexsort_with_duplicates(self, n, data):
+        m = data.draw(st.integers(0, 80))
+        node = st.integers(0, n - 1)
+        src = np.array(data.draw(st.lists(node, min_size=m, max_size=m)), dtype=np.int64)
+        dst = np.array(data.draw(st.lists(node, min_size=m, max_size=m)), dtype=np.int64)
+        g = SocialGraph([f"n{i}" for i in range(n)], src, dst)
+        assert_csr_matches_lexsort(g, src, dst)
+
+    def test_keys_past_the_int32_range(self):
+        # 50,000 nodes: src * n exceeds 2**31 once src > 42,949
+        n = 50_000
+        rng = np.random.default_rng(11)
+        top = rng.integers(n - 40, n, size=(2, 4000))
+        spread = rng.integers(0, n, size=(2, 4000))
+        src, dst = np.concatenate([top, spread, top[:, :500]], axis=1).astype(np.int32)
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        g = SocialGraph([f"n{i}" for i in range(n)], src, dst)
+        assert g.out_indices.max() >= n - 40
+        assert_csr_matches_lexsort(g, src.astype(np.int64), dst.astype(np.int64))

@@ -4,7 +4,10 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from hateagg import ingest
 from hateagg import (
     BindPolicy,
     InputError,
@@ -20,15 +23,25 @@ from hateagg import (
     write_scores,
 )
 
+from oracles import (
+    lexsort_csr,
+    naive_build_graph,
+    naive_parse_scores,
+    naive_read_edges,
+    naive_write_edges,
+    naive_write_labels,
+    naive_write_scores,
+)
+
 
 class TestReadEdges:
     def test_basic(self):
         text = "a,b\nb,c\n"
-        assert read_edges(text) == [("a", "b"), ("b", "c")]
+        assert list(read_edges(text)) == [("a", "b"), ("b", "c")]
 
     def test_comments_and_blanks_skipped(self):
         text = "# header comment\n\na,b\n   \n# trailing\nb,c\n"
-        assert read_edges(text) == [("a", "b"), ("b", "c")]
+        assert list(read_edges(text)) == [("a", "b"), ("b", "c")]
 
     def test_self_loop_names_line(self):
         with pytest.raises(InputError, match="line 2"):
@@ -43,7 +56,7 @@ class TestReadEdges:
             read_edges(",b\n")
 
     def test_stream_input(self):
-        assert read_edges(io.StringIO("a,b\n")) == [("a", "b")]
+        assert list(read_edges(io.StringIO("a,b\n"))) == [("a", "b")]
 
 
 class TestParseScores:
@@ -165,12 +178,9 @@ class TestBindDataset:
 class TestRoundTrips:
     def test_scores_round_trip_bit_exact(self):
         rng = np.random.default_rng(41)
-        table = ScoreTable()
-        for i in range(20):
-            user = f"u{i}"
-            table.register_user(user)
-            for v in rng.random(int(rng.integers(0, 8))):
-                table.add(user, float(v))
+        table = ScoreTable.from_mapping(
+            {f"u{i}": rng.random(int(rng.integers(0, 8))) for i in range(20)}
+        )
         buf = io.StringIO()
         write_scores(table, buf)
         back = parse_scores(buf.getvalue())
@@ -193,3 +203,188 @@ class TestRoundTrips:
         write_labels(labels, buf)
         back = parse_labels(buf.getvalue())
         assert dict(back.items()) == dict(labels.items())
+
+
+# -- bulk parsers against the line-by-line oracles ------------------------------
+
+IDS = ["a", "b", "c", "dd", "ü", "x y", "名前", "#h"]
+PAD = st.sampled_from(["", " ", "\t", "  "])
+ENDS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def edge_line(draw, bad: bool):
+    u, v = draw(st.sampled_from(IDS)), draw(st.sampled_from(IDS))
+    good = [
+        f"{draw(PAD)}{u}{draw(PAD)},{draw(PAD)}{v}{draw(PAD)}" if u != v else f"{u},z",
+        f"{draw(PAD)}# {u},{v},x",
+        draw(PAD),
+    ]
+    broken = [f"{u},{v},x", u, f",{v}", f"{u}, ", f"{draw(PAD)}{u},{u}"]
+    return draw(st.sampled_from(good + broken if bad else good))
+
+
+@st.composite
+def score_line(draw, bad: bool):
+    u = draw(st.sampled_from(IDS[:-1]))  # "#h" is a plain id in a score file
+    score = draw(st.sampled_from(["0", "1", "0.5", " 0.25 ", "1e-3", "0.1234567890123"]))
+    good = [f"{draw(PAD)}{u},p{draw(PAD)},{score}", draw(PAD)]
+    broken = [f"{u},p", f"{u},p,0.5,x", " ,p,0.5", f"{u},p,high", f"{u},p,1.5",
+              f"{u},p,-0.0001", f"{u},p,nan", f"{u},p,"]
+    return draw(st.sampled_from(good + broken if bad else good))
+
+
+@st.composite
+def text_file(draw, line):
+    bad = draw(st.booleans())
+    lines = draw(st.lists(line(bad), max_size=30))
+    text = "".join(f"{body}{draw(ENDS)}" for body in lines)
+    if lines and draw(st.booleans()):
+        text = text[: len(text) - 1]  # last line without its newline
+    return draw(st.sampled_from(["", "﻿"])) + text
+
+
+def outcome(parse, stream):
+    try:
+        return "ok", parse(stream)
+    except InputError as exc:
+        return "error", str(exc)
+
+
+def streams(text: str):
+    """The text as a string and as a file would be opened: utf-8-sig, universal newlines."""
+    yield text
+    yield io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8-sig")
+
+
+BLOCKS = st.sampled_from([1, 3, 16, ingest._BLOCK_CHARS])
+
+
+class TestBulkParsersMatchOracles:
+    @given(text=text_file(edge_line), block=BLOCKS)
+    def test_read_edges(self, text, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_CHARS", block)
+            for stream, oracle_stream in zip(streams(text), streams(text)):
+                kind, got = outcome(read_edges, stream)
+                want_kind, want = outcome(naive_read_edges, oracle_stream)
+                assert kind == want_kind
+                if kind == "error":
+                    assert got == want
+                    continue
+                assert list(got) == want
+                ids, src, dst = naive_build_graph(want)
+                assert got.ids == ids
+                assert np.array_equal(got.src, src)
+                assert np.array_equal(got.dst, dst)
+                assert len(got) == len(want)
+
+    @given(text=text_file(score_line), block=BLOCKS)
+    def test_parse_scores(self, text, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_CHARS", block)
+            for stream, oracle_stream in zip(streams(text), streams(text)):
+                kind, got = outcome(parse_scores, stream)
+                want_kind, want = outcome(naive_parse_scores, oracle_stream)
+                assert kind == want_kind
+                if kind == "error":
+                    assert got == want
+                    continue
+                assert got.users() == list(want)
+                flat = [s for scores in want.values() for s in scores]
+                assert got.values.tolist() == flat
+                assert np.diff(got.offsets).tolist() == [len(v) for v in want.values()]
+                assert got.total_posts == len(flat)
+
+    @pytest.mark.parametrize(
+        "bad_line, message",
+        [
+            ("q,r,s", "expected 'src_id,dst_id'"),
+            (" ,r", "empty user id"),
+            ("r,r", "self-loop on 'r'"),
+        ],
+    )
+    def test_error_past_the_first_block(self, bad_line, message):
+        lines = [f"n{i},n{i + 1}" for i in range(40_000)]
+        lines[31_234] = bad_line
+        text = "\r\n".join(lines) + "\r\n"
+        assert len(text) > 2 * ingest._BLOCK_CHARS
+        for stream in streams(text):
+            with pytest.raises(InputError) as exc:
+                read_edges(stream)
+            assert str(exc.value).startswith("edges line 31235: ")
+            assert message in str(exc.value)
+        with pytest.raises(InputError) as want:
+            naive_read_edges(text)
+        with pytest.raises(InputError) as got:
+            read_edges(text)
+        assert str(got.value) == str(want.value)
+
+    def test_scores_span_blocks(self):
+        rows = [f"u{i % 997},p{i},{(i % 101) / 100}" for i in range(40_000)]
+        text = "\n".join(rows) + "\n"
+        assert len(text) > 2 * ingest._BLOCK_CHARS
+        table = parse_scores(text)
+        want = naive_parse_scores(text)
+        assert table.users() == list(want)
+        for user, scores in want.items():
+            assert table.scores(user).tolist() == scores
+        bad = text.replace("u5,p39885,", "u5,p39885,x", 1)
+        with pytest.raises(InputError, match="line 39886: non-numeric"):
+            parse_scores(bad)
+
+
+class TestBuildGraphMatchesOracle:
+    @given(
+        pairs=st.lists(st.tuples(st.sampled_from(IDS), st.sampled_from(IDS)), max_size=40),
+        isolated=st.lists(st.sampled_from(IDS + ["iso", ""]), max_size=4),
+    )
+    def test_ids_codes_and_csr(self, pairs, isolated):
+        try:
+            ids, src, dst = naive_build_graph(pairs, isolated)
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                build_graph(pairs, isolated_ids=isolated)
+            assert str(got.value) == str(exc)
+            return
+        g = build_graph(pairs, isolated_ids=isolated)
+        assert g.ids == ids
+        for (indptr, indices), (want_ptr, want_idx) in (
+            ((g.out_indptr, g.out_indices), lexsort_csr(src, dst, len(ids))),
+            ((g.in_indptr, g.in_indices), lexsort_csr(dst, src, len(ids))),
+        ):
+            assert np.array_equal(indptr, want_ptr)
+            assert np.array_equal(indices, want_idx)
+            assert indices.dtype == want_idx.dtype
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ([("a", "b"), ("a", "b", "c")], "edge 2: expected a (src, dst) pair"),
+            ([("a", "b"), 7], "edge 2: expected a (src, dst) pair, got 7"),
+            ([("a", "b"), ("", "b")], "edge 2: empty user id in ('', 'b')"),
+            ([("a", "b"), ("c", "c")], "edge 2: self-loop on 'c'"),
+        ],
+    )
+    def test_pair_errors_name_the_position(self, pairs, message):
+        with pytest.raises(InputError) as want:
+            naive_build_graph(pairs)
+        with pytest.raises(InputError) as got:
+            build_graph(pairs)
+        assert str(got.value) == str(want.value)
+        assert message in str(got.value)
+
+
+class TestWritersMatchOracles:
+    def test_synth_files(self):
+        from hateagg import SynthConfig, generate
+
+        ds = generate(SynthConfig(n_users=300, n_labeled=120, seed=5, p_in=0.03))
+        for write, naive, item in (
+            (write_edges, naive_write_edges, ds.graph),
+            (write_scores, naive_write_scores, ds.scores),
+            (write_labels, naive_write_labels, ds.labels),
+        ):
+            buf = io.StringIO()
+            write(item, buf)
+            assert buf.getvalue() == naive(item)

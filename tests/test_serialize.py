@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import json
 import math
 
@@ -8,7 +9,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hateagg.serialize import csv_cell, csv_line, dump_json, fmt_float, render_json
+from hateagg import serialize
+from hateagg.serialize import (
+    csv_cell,
+    csv_line,
+    dump_json,
+    fmt_float,
+    render_json,
+    write_rows,
+)
 
 
 class TestFmtFloat:
@@ -119,3 +128,59 @@ class TestCsv:
 
     def test_line_joins_with_commas(self):
         assert csv_line(["u1", 2, 0.5]) == "u1,2,0.5"
+
+
+SPECIAL_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-300, -1e-300,
+    1e300, -1e300, 1.7976931348623157e308, math.nan, math.inf, -math.inf,
+    1.0, -3.0, 2.0**53, 1e16, 0.1,
+]
+CELLS = st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS))
+IDS = st.text(
+    alphabet=st.characters(blacklist_categories=("Cs",), blacklist_characters=",\n\r"),
+    min_size=1,
+    max_size=6,
+)
+
+
+def csv_line_rows(keys, values) -> str:
+    return "".join(csv_line([key, *row]) + "\n" for key, row in zip(keys, values.tolist()))
+
+
+class TestWriteRows:
+    @given(
+        data=st.data(),
+        n_rows=st.integers(0, 12),
+        k=st.integers(0, 4),
+        block=st.sampled_from([1, 3, 5, serialize._BLOCK_ROWS]),
+    )
+    def test_matches_csv_line(self, data, n_rows, k, block):
+        keys = data.draw(st.lists(IDS, min_size=n_rows, max_size=n_rows))
+        cells = data.draw(st.lists(CELLS, min_size=n_rows * k, max_size=n_rows * k))
+        values = np.array(cells, dtype=np.float64).reshape(n_rows, k)
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serialize, "_BLOCK_ROWS", block)
+            write_rows(buf, [keys], values)
+        assert buf.getvalue() == csv_line_rows(keys, values)
+
+    def test_rows_past_a_block_boundary(self):
+        n_rows = 2 * serialize._BLOCK_ROWS + 17
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((n_rows, 3)) * 10.0 ** rng.integers(-300, 300, (n_rows, 3))
+        values[serialize._BLOCK_ROWS - 1, 0] = math.nan
+        values[serialize._BLOCK_ROWS, 2] = -math.inf
+        values[-1, 1] = -0.0
+        keys = np.array([f"ü{i}" for i in range(n_rows)], dtype=object)
+        buf = io.StringIO()
+        write_rows(buf, [keys], values)
+        assert buf.getvalue() == csv_line_rows(keys.tolist(), values)
+        assert buf.getvalue().count("\n") == n_rows
+
+    def test_key_format_and_no_values(self):
+        buf = io.StringIO()
+        write_rows(buf, [["a", "b%s"], np.array([3, 4])], key_fmt="%s,p%d")
+        assert buf.getvalue() == "a,p3\nb%s,p4\n"
+        buf = io.StringIO()
+        write_rows(buf, [["a"], [7]], np.array([[math.nan, 0.5]]), key_fmt="%s,%s")
+        assert buf.getvalue() == "a,7,NaN,0.5\n"
