@@ -97,16 +97,10 @@ def degroot_step(
     b = beliefs.values
     if len(b) != graph.node_count:
         raise InputError("belief vector length does not match graph")
-    if direction == "out":
-        deg = graph.out_degrees()
-    elif direction == "in":
-        deg = graph.in_degrees()
-    elif direction == "undirected":
-        deg = graph.undirected_degrees()
-    else:
+    if direction not in DIRECTIONS:
         raise InputError(f"direction must be one of {DIRECTIONS}")
     deltas = graph.neighbor_delta_sums(b, direction)
-    new = b + deltas / (1.0 + deg)
+    new = b + deltas / (1.0 + graph.degrees(direction))
     return BeliefVector(values=new, iteration=beliefs.iteration + 1)
 
 

@@ -37,21 +37,26 @@ __all__ = [
 ]
 
 
-def _csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """CSR (indptr, indices) of the distinct (src, dst) pairs, rows and columns sorted.
+def _packed_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Sorted distinct int64 keys ``src * n + dst`` of the (src, dst) pairs.
 
-    Each pair packs into one int64 key ``src * n + dst``, so a single sort
-    orders by source then destination and equal neighbors dedup in one pass.
+    One sort orders the pairs by source then destination, and equal pairs
+    are adjacent, so they dedup in one pass.
     """
-    if len(src) == 0:
-        return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int32)
     # int64 before the multiply: int32 src * n overflows once n > 46,341
-    key = src.astype(np.int64) * n + dst
+    key = src.astype(np.int64)
+    key *= n
+    key += dst
     key.sort()
     keep = np.empty(len(key), dtype=bool)
-    keep[0] = True
+    keep[:1] = True
     np.not_equal(key[1:], key[:-1], out=keep[1:])
-    rows, cols = np.divmod(key[keep], n)
+    return key[keep]
+
+
+def _csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR (indptr, indices) of the distinct (src, dst) pairs, rows and columns sorted."""
+    rows, cols = np.divmod(_packed_keys(src, dst, n), n)
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
     return indptr, cols.astype(np.int32)
@@ -150,7 +155,8 @@ class SocialGraph:
         self.out_indptr, self.out_indices = _csr(src, dst, n)
         self.in_indptr, self.in_indices = _csr(dst, src, n)
         self._und: tuple[np.ndarray, np.ndarray] | None = None
-        self._row_ids: dict[str, np.ndarray] = {}
+        self._components: tuple[int, np.ndarray] | None = None
+        self._rows_of: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- basic shape -------------------------------------------------------
 
@@ -211,25 +217,49 @@ class SocialGraph:
         indptr, _ = self.undirected_csr()
         return np.diff(indptr)
 
+    def components(self) -> tuple[int, np.ndarray]:
+        """(count, label per node) of the weak components, cached like the undirected view.
+
+        Components are numbered by their smallest node index, in order.
+        """
+        if self._components is None:
+            n = self.node_count
+            src = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.out_indptr))
+            roots, labels = np.unique(
+                _component_roots(n, src, self.out_indices), return_inverse=True
+            )
+            self._components = len(roots), labels
+        return self._components
+
     # -- vectorized neighbor reductions --------------------------------------
 
-    def _rows(self, direction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, indices, row_of_entry) for the requested adjacency view."""
+    def _view(self, direction: str) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, indices) of the requested adjacency view."""
         if direction == "out":
-            indptr, indices = self.out_indptr, self.out_indices
-        elif direction == "in":
-            indptr, indices = self.in_indptr, self.in_indices
-        elif direction == "undirected":
-            indptr, indices = self.undirected_csr()
-        else:
-            raise InputError(f"unknown direction {direction!r}")
-        rows = self._row_ids.get(direction)
-        if rows is None:
-            rows = np.repeat(
-                np.arange(self.node_count, dtype=np.int32), np.diff(indptr)
-            )
-            self._row_ids[direction] = rows
-        return indptr, indices, rows
+            return self.out_indptr, self.out_indices
+        if direction == "in":
+            return self.in_indptr, self.in_indices
+        if direction == "undirected":
+            return self.undirected_csr()
+        raise InputError(f"unknown direction {direction!r}")
+
+    def _rows(self, direction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indices, row_of_entry, degrees) of a view, cached for the diffusion step.
+
+        Indices and rows are kept as ``intp``, so the gathers of every step
+        index without a conversion.
+        """
+        cached = self._rows_of.get(direction)
+        if cached is None:
+            indptr, indices = self._view(direction)
+            deg = np.diff(indptr)
+            rows = np.repeat(np.arange(self.node_count, dtype=np.intp), deg)
+            cached = self._rows_of[direction] = indices.astype(np.intp), rows, deg
+        return cached
+
+    def degrees(self, direction: str) -> np.ndarray:
+        """Neighbor count of each node in the given direction (cached)."""
+        return self._rows(direction)[2]
 
     def neighbor_sums(self, values: np.ndarray, direction: str) -> np.ndarray:
         """Per-node sum of ``values`` over neighbors in the given direction.
@@ -237,12 +267,12 @@ class SocialGraph:
         direction 'out' sums over followees, 'in' over followers,
         'undirected' over the union. Result aligned to node index.
         """
-        _, indices, rows = self._rows(direction)
+        # one pass, so no cached index: a feature build calls this once per view
+        indptr, indices = self._view(direction)
         if len(indices) == 0:
             return np.zeros(self.node_count, dtype=np.float64)
-        return np.bincount(
-            rows, weights=values[indices], minlength=self.node_count
-        )
+        rows = np.repeat(np.arange(self.node_count, dtype=np.intp), np.diff(indptr))
+        return np.bincount(rows, weights=values.take(indices), minlength=self.node_count)
 
     def neighbor_delta_sums(self, values: np.ndarray, direction: str) -> np.ndarray:
         """Per-node sum of ``values[v] - values[u]`` over neighbors v of u.
@@ -250,12 +280,12 @@ class SocialGraph:
         The subtraction happens per edge, so a constant input yields exact
         zeros rather than accumulated rounding.
         """
-        _, indices, rows = self._rows(direction)
+        indices, rows, deg = self._rows(direction)
         if len(indices) == 0:
             return np.zeros(self.node_count, dtype=np.float64)
-        return np.bincount(
-            rows, weights=values[indices] - values[rows], minlength=self.node_count
-        )
+        deltas = values.take(indices)
+        deltas -= np.repeat(values, deg)
+        return np.bincount(rows, weights=deltas, minlength=self.node_count)
 
 
 class ComponentCounts(NamedTuple):
@@ -309,19 +339,31 @@ def build_graph(
     return SocialGraph(ids, edges.src, edges.dst)
 
 
-def _component_labels(g: SocialGraph) -> tuple[int, np.ndarray]:
-    # deferred, like every scipy import: commands that need no graph kernel skip it
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
+def _component_roots(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Smallest node index in the weak component of each node of edges src -> dst.
 
-    if g.node_count == 0:
-        return 0, np.zeros(0, dtype=np.int32)
-    mat = csr_matrix(
-        (np.ones(len(g.out_indices), dtype=np.int8), g.out_indices, g.out_indptr),
-        shape=(g.node_count, g.node_count),
-    )
-    n_comp, labels = connected_components(mat, directed=True, connection="weak")
-    return int(n_comp), labels
+    Hook and jump (Shiloach & Vishkin 1982): every edge whose ends sit under
+    different roots hooks the larger root under the smaller one
+    (``np.minimum.at``), then pointer jumping flattens the trees until the
+    parent array is stable. A parent never exceeds its child, so the trees
+    stay acyclic and each component ends under its smallest index. Rounds
+    repeat until no edge joins two roots; each round keeps only the edges
+    between two roots, as root pairs.
+    """
+    parent = np.arange(n)
+    while True:
+        # each tree is flat, so parent[] maps an edge's ends to their roots
+        src, dst = parent.take(src), parent.take(dst)
+        cross = src != dst
+        if not cross.any():
+            return parent
+        src, dst = src[cross], dst[cross]
+        np.minimum.at(parent, np.maximum(src, dst), np.minimum(src, dst))
+        while True:
+            jumped = parent[parent]
+            if np.array_equal(jumped, parent):
+                break
+            parent = jumped
 
 
 def largest_wcc(g: SocialGraph) -> SocialGraph:
@@ -333,15 +375,11 @@ def largest_wcc(g: SocialGraph) -> SocialGraph:
     """
     if g.node_count == 0:
         raise InputError("empty graph has no connected components")
-    n_comp, labels = _component_labels(g)
-    sizes = np.bincount(labels, minlength=n_comp)
-    best_size = sizes.max()
-    candidates = np.flatnonzero(sizes == best_size)
-    # first occurrence of each label while scanning by node index
-    _, first_idx = np.unique(labels, return_index=True)
-    best_label = candidates[np.argmin(first_idx[candidates])]
-
-    member = labels == best_label
+    n_comp, labels = g.components()
+    if n_comp == 1:
+        return g
+    # labels follow each component's smallest node index, so argmax breaks ties toward it
+    member = labels == np.argmax(np.bincount(labels))
     keep = np.flatnonzero(member)
     remap = np.full(g.node_count, -1, dtype=np.int64)
     remap[keep] = np.arange(len(keep))
@@ -362,37 +400,91 @@ def component_stats(
     edges.
     """
     extra = sum(1 for u in set(isolated_ids) if u not in g.id_index)
-    n_comp, _ = _component_labels(g)
+    n_comp, _ = g.components()
     deg = g.out_degrees() + g.in_degrees()
     singles = int(np.count_nonzero(deg == 0))
     return ComponentCounts(n_comp + extra, singles + extra)
 
 
-def clustering_coefficient(g: SocialGraph, chunk: int = 50_000) -> float:
+def _triangle_counts(indptr: np.ndarray, indices: np.ndarray, chunk: int) -> np.ndarray:
+    """Triangles through each node of an undirected simple graph in CSR form.
+
+    Forward counting on a degree order (Latapy 2008): nodes are ranked by
+    (degree, index) and each link points from its lower-ranked end to the
+    higher. A triangle is then found once, at its lowest-ranked corner, as a
+    wedge (a pair of that corner's out-neighbors) whose closing link exists.
+    Wedges are made and tested at most ``chunk`` at a time, so memory stays
+    bounded, and a hub ranks last, so its many links open no wedges.
+    """
+    n = len(indptr) - 1
+    deg = np.diff(indptr)
+    rank = np.empty(n, dtype=np.int32)
+    rank[np.argsort(deg, kind="stable")] = np.arange(n, dtype=np.int32)
+    head, tail = np.repeat(rank, deg), rank.take(indices)
+    fwd = head < tail
+    head, tail = head[fwd], tail[fwd]
+    del fwd
+    links = _packed_keys(head, tail, n)  # oriented links in rank space, sorted
+    del head, tail
+    rows, cols = (links // n).astype(np.int32), (links % n).astype(np.int32)
+    # link p opens a wedge with each later link of its row; bounds[p] counts
+    # the wedges of the links before p
+    out_deg = np.bincount(rows, minlength=n)
+    later = np.repeat(np.cumsum(out_deg), out_deg)  # end of each link's row
+    later -= np.arange(1, len(links) + 1)
+    bounds = np.zeros(len(links) + 1, dtype=np.int64)
+    np.cumsum(later, out=bounds[1:])
+    del later
+    total = int(bounds[-1])
+
+    tri = np.zeros(n, dtype=np.int64)
+    found: list[np.ndarray] = []  # corners not yet counted
+    pending = 0
+    for w0 in range(0, total, chunk):
+        w1 = min(w0 + chunk, total)
+        p0 = int(np.searchsorted(bounds, w0, side="right")) - 1
+        p1 = int(np.searchsorted(bounds, w1 - 1, side="right"))
+        starts = bounds[p0:p1]  # the first wedge of each link in the block
+        take = np.minimum(bounds[p0 + 1 : p1 + 1], w1) - np.maximum(starts, w0)
+        pos = np.arange(p0, p1)
+        first = np.repeat(pos, take)
+        second = np.arange(w0, w1) - np.repeat(starts - pos - 1, take)
+        closing = cols.take(first).astype(np.int64)
+        closing *= n
+        closing += cols.take(second)  # a row's columns ascend, so this is a link key
+        # sorted needles walk the links in order: a far more cache-friendly search
+        order = np.argsort(closing)
+        closing = closing.take(order)
+        at = np.searchsorted(links, closing)
+        np.minimum(at, len(links) - 1, out=at)
+        hit = order[links.take(at) == closing]
+        first, second = first.take(hit), second.take(hit)
+        found += [rows.take(first), cols.take(first), cols.take(second)]
+        pending += 3 * len(first)
+        if pending >= n:  # one bincount per n corners keeps tiny blocks linear
+            tri += np.bincount(np.concatenate(found), minlength=n)
+            found, pending = [], 0
+    if pending:
+        tri += np.bincount(np.concatenate(found), minlength=n)
+    return tri.take(rank)
+
+
+def clustering_coefficient(g: SocialGraph, chunk: int = 1 << 19) -> float:
     """Average local clustering coefficient of the undirected simple view.
 
     Each node contributes (links among its neighbors) / (possible links);
-    nodes with degree < 2 contribute 0. Triangle counts come from chunked
-    sparse products, so memory stays bounded on large graphs.
+    nodes with degree < 2 contribute 0. Triangles come from forward counting
+    on a degree order, ``chunk`` wedges per block, so memory stays bounded on
+    large graphs.
     """
-    from scipy.sparse import csr_matrix
-
     if g.node_count == 0:
         raise InputError("empty graph has no clustering coefficient")
+    if chunk < 1:
+        raise InputError(f"chunk must be >= 1, got {chunk}")
     indptr, indices = g.undirected_csr()
     n = g.node_count
-    und = csr_matrix(
-        (np.ones(len(indices), dtype=np.float64), indices, indptr), shape=(n, n)
-    )
     deg = np.diff(indptr)
-    closed_wedges = np.zeros(n, dtype=np.float64)  # 2 * triangles per node
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        block = und[start:stop]
-        common = block @ und
-        closed_wedges[start:stop] = np.asarray(
-            common.multiply(block).sum(axis=1)
-        ).ravel()
+    closed_wedges = 2.0 * _triangle_counts(indptr, indices, chunk)  # exact integers
     wedges = deg.astype(np.float64) * (deg - 1)
     local = np.zeros(n, dtype=np.float64)
     mask = deg >= 2

@@ -190,17 +190,25 @@ class ScoreTable:
         return offsets, self.values[gather]
 
     def restrict(self, users: Iterable[str]) -> "ScoreTable":
-        """New table keeping only the given users (original order preserved)."""
+        """Table keeping only the given users (original order preserved).
+
+        Tables are never modified, so a restriction that drops no user is
+        this table itself.
+        """
         wanted = set(users)
         keep = np.fromiter(
             map(wanted.__contains__, self._users), dtype=bool, count=len(self._users)
         )
+        if keep.all():
+            return self
         rows = np.flatnonzero(keep)
         offsets, values = self.segments(rows)
         return ScoreTable(list(itertools.compress(self._users, keep.tolist())), offsets, values)
 
     def with_users(self, users: list[str]) -> "ScoreTable":
-        """New table with the given new users appended, each with zero posts."""
+        """Table with the given new users appended, each with zero posts; none is itself."""
+        if not users:
+            return self
         offsets = np.concatenate([self.offsets, np.full(len(users), self.offsets[-1])])
         return ScoreTable(self._users + users, offsets, self.values)
 

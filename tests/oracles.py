@@ -1,8 +1,10 @@
 """Slow, obviously-correct reference implementations for the test suite.
 
-Everything here is direct loops over python scalars (or dense matrices for
-the diffusion step), written independently of the library's vectorized
-paths. When both routes agree, the fast path inherits the trust.
+Everything here is direct loops over python scalars, dense matrices for the
+diffusion step, or a kernel the library used before (scipy's sparse
+products and components, the gather-and-bincount delta sum), written
+independently of the library's vectorized paths. When both routes agree,
+the fast path inherits the trust.
 """
 
 from __future__ import annotations
@@ -272,6 +274,47 @@ def brute_clustering(n: int, edges: list[tuple[int, int]]) -> float:
     return total / n
 
 
+def sparse_product_clustering(g, chunk: int = 50_000) -> float:
+    """Average local clustering from chunked sparse ``A·A ∘ A`` products.
+
+    The library's previous kernel: row sums of ``(A[rows] @ A) ∘ A[rows]``
+    count each node's closed wedges, two per triangle, as exact floats.
+    """
+    from scipy.sparse import csr_matrix
+
+    indptr, indices = g.undirected_csr()
+    n = g.node_count
+    und = csr_matrix(
+        (np.ones(len(indices), dtype=np.float64), indices, indptr), shape=(n, n)
+    )
+    deg = np.diff(indptr)
+    closed_wedges = np.zeros(n, dtype=np.float64)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        block = und[start:stop]
+        closed_wedges[start:stop] = np.asarray(
+            (block @ und).multiply(block).sum(axis=1)
+        ).ravel()
+    wedges = deg.astype(np.float64) * (deg - 1)
+    local = np.zeros(n, dtype=np.float64)
+    mask = deg >= 2
+    local[mask] = closed_wedges[mask] / wedges[mask]
+    return float(local.sum() / n)
+
+
+def scipy_weak_components(g) -> tuple[int, np.ndarray]:
+    """(count, labels) of the weak components from ``scipy.sparse.csgraph``."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    mat = csr_matrix(
+        (np.ones(len(g.out_indices), dtype=np.int8), g.out_indices, g.out_indptr),
+        shape=(g.node_count, g.node_count),
+    )
+    n_comp, labels = connected_components(mat, directed=True, connection="weak")
+    return int(n_comp), labels
+
+
 def numeric_gamma(
     degrees: list[int], k_min: int, continuity_correction: bool
 ) -> float:
@@ -351,6 +394,38 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 
 
 # -- diffusion -----------------------------------------------------------------
+
+
+def gather_delta_sums(g, values: np.ndarray, direction: str) -> np.ndarray:
+    """Per-node sum of ``values[v] - values[u]``: gather both ends, then bincount.
+
+    The library's previous form of ``neighbor_delta_sums``, with int32 row
+    ids rebuilt from the CSR on every call.
+    """
+    if direction == "out":
+        indptr, indices = g.out_indptr, g.out_indices
+    elif direction == "in":
+        indptr, indices = g.in_indptr, g.in_indices
+    else:
+        indptr, indices = g.undirected_csr()
+    if len(indices) == 0:
+        return np.zeros(g.node_count, dtype=np.float64)
+    rows = np.repeat(np.arange(g.node_count, dtype=np.int32), np.diff(indptr))
+    return np.bincount(
+        rows, weights=values[indices] - values[rows], minlength=g.node_count
+    )
+
+
+def gather_degroot_step(g, values: np.ndarray, direction: str) -> np.ndarray:
+    """The previous ``degroot_step``: residual form with degrees from ``np.diff``."""
+    if direction == "out":
+        indptr = g.out_indptr
+    elif direction == "in":
+        indptr = g.in_indptr
+    else:
+        indptr, _ = g.undirected_csr()
+    deg = np.diff(indptr)
+    return values + gather_delta_sums(g, values, direction) / (1.0 + deg)
 
 
 def dense_degroot_step(

@@ -15,9 +15,10 @@ from hateagg import (
     degroot_step,
 )
 from hateagg.degroot import BeliefVector
+from hateagg.graph import SocialGraph
 
 from conftest import make_dataset, random_dataset
-from oracles import dense_degroot_step
+from oracles import dense_degroot_step, gather_degroot_step
 
 
 def two_node_graph():
@@ -110,6 +111,28 @@ class TestStep:
         g = two_node_graph()
         with pytest.raises(InputError):
             degroot_step(g, beliefs([1.0, 0.0, 0.0]))
+
+    @given(n=st.integers(1, 30), data=st.data())
+    def test_bit_identical_to_gather_form(self, n, data):
+        node = st.integers(0, n - 1)
+        pairs = data.draw(st.lists(st.tuples(node, node), max_size=90))
+        pairs = [(a, b) for a, b in pairs if a != b]
+        g = SocialGraph(
+            [f"n{i}" for i in range(n)],
+            np.array([a for a, _ in pairs], dtype=np.int64),
+            np.array([b for _, b in pairs], dtype=np.int64),
+        )
+        unit = st.floats(0.0, 1.0)
+        wide = st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True)
+        vals = np.array(
+            data.draw(st.lists(st.one_of(unit, wide), min_size=n, max_size=n)),
+            dtype=np.float64,
+        )
+        for direction in ("out", "in", "undirected"):
+            for _ in range(2):  # the second step runs on the cached index
+                got = degroot_step(g, beliefs(vals), direction).values
+                want = gather_degroot_step(g, vals, direction)
+                assert got.tobytes() == want.tobytes()
 
 
 class TestRun:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,10 +21,13 @@ from hateagg import (
     powerlaw_gamma_mle,
 )
 
+import hateagg.graph as graph_module
 from oracles import (
     brute_clustering,
     lexsort_csr,
     numeric_gamma,
+    scipy_weak_components,
+    sparse_product_clustering,
     union_find_component_count,
 )
 
@@ -39,6 +43,42 @@ def graph_from_int_edges(n, edges):
     pairs = [(f"n{a}", f"n{b}") for a, b in edges]
     isolated = tuple(f"n{i}" for i in range(n))
     return build_graph(pairs, isolated_ids=isolated)
+
+
+def index_graph(n, src, dst):
+    """Graph on nodes 0..n-1 straight from index arrays."""
+    return SocialGraph([f"n{i}" for i in range(n)], np.asarray(src), np.asarray(dst))
+
+
+@st.composite
+def mixed_graphs(draw):
+    """Random directed graphs plus a star, a clique, reciprocal and parallel edges.
+
+    Self-loops are dropped; nodes the draws leave out are isolated, and a
+    star's leaves are often degree-1 nodes.
+    """
+    n = draw(st.integers(1, 40))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=100))
+    if pairs:
+        again = st.lists(st.sampled_from(pairs), max_size=20)
+        pairs += draw(again)  # parallel edges
+        pairs += [(b, a) for a, b in draw(again)]  # reciprocal edges
+    hub = draw(node)
+    for leaf in draw(st.lists(node, max_size=n)):
+        pairs.append((hub, leaf) if draw(st.booleans()) else (leaf, hub))
+    clique = draw(st.lists(node, max_size=8, unique=True))
+    pairs += [(a, b) for a in clique for b in clique if a < b]
+    pairs = [(a, b) for a, b in pairs if a != b]
+    src = np.array([a for a, _ in pairs], dtype=np.int64)
+    dst = np.array([b for _, b in pairs], dtype=np.int64)
+    return index_graph(n, src, dst)
+
+
+def smallest_member(labels):
+    """Each node's label replaced by the smallest node index sharing it."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    return first[inverse]
 
 
 class TestBuildGraph:
@@ -122,6 +162,20 @@ class TestLargestWcc:
         with pytest.raises(InputError):
             largest_wcc(build_graph([]))
 
+    def test_one_component_is_the_graph_itself(self):
+        g = build_graph([("a", "b"), ("c", "b")])
+        assert largest_wcc(g) is g
+
+    @given(mixed_graphs())
+    def test_subgraph_is_the_largest_scipy_component(self, g):
+        _, labels = scipy_weak_components(g)
+        root = smallest_member(labels)
+        sizes = np.bincount(root, minlength=g.node_count)
+        best = int(np.argmax(sizes))  # ties: the smallest node index
+        sub = largest_wcc(g)
+        assert sub.ids == [g.ids[i] for i in np.flatnonzero(root == best)]
+        assert sub.edge_count == int(np.count_nonzero(root[g.edge_arrays()[0]] == best))
+
 
 class TestComponentStats:
     def test_edge_plus_isolated(self):
@@ -157,6 +211,37 @@ class TestComponentStats:
             expected = union_find_component_count(n, edges)
             assert component_stats(g).n_components == expected
 
+    @given(mixed_graphs())
+    def test_partition_matches_scipy(self, g):
+        n_comp, labels = g.components()
+        want_comp, want_labels = scipy_weak_components(g)
+        assert n_comp == want_comp
+        assert np.array_equal(smallest_member(labels), smallest_member(want_labels))
+        # labels are numbered in the order of each component's smallest node
+        _, first = np.unique(labels, return_index=True)
+        assert np.all(np.diff(first) > 0)
+
+    def test_labels_computed_once_per_graph(self, monkeypatch):
+        calls = []
+        roots = graph_module._component_roots
+        monkeypatch.setattr(
+            graph_module, "_component_roots", lambda *a: calls.append(1) or roots(*a)
+        )
+        g = build_graph([("a", "b"), ("b", "c"), ("x", "y")], isolated_ids=("z",))
+        graph_stats(g)
+        component_stats(g)
+        assert len(calls) == 1
+
+    def test_shuffled_million_node_path_is_fast(self):
+        # a path in random index order is the worst case for label propagation
+        n = 1_000_000
+        order = np.random.default_rng(41).permutation(n)
+        g = index_graph(n, order[:-1], order[1:])
+        start = time.perf_counter()
+        counts = component_stats(g)
+        assert time.perf_counter() - start < 10.0
+        assert counts == (1, 0)
+
 
 class TestClustering:
     def test_triangle(self):
@@ -188,6 +273,27 @@ class TestClustering:
         edges = random_edges(rng, n, 0.15)
         g = graph_from_int_edges(n, edges)
         assert clustering_coefficient(g, chunk=7) == clustering_coefficient(g)
+
+    @given(mixed_graphs())
+    def test_equals_sparse_product_exactly(self, g):
+        want = sparse_product_clustering(g)
+        for kwargs in ({"chunk": 1}, {"chunk": 3}, {}):
+            assert clustering_coefficient(g, **kwargs) == want
+
+    @pytest.mark.parametrize("chunk", [0, -5])
+    def test_chunk_must_be_positive(self, chunk):
+        # a negative block size once meant no blocks and a silent 0.0
+        g = build_graph([("a", "b"), ("b", "c"), ("c", "a")])
+        with pytest.raises(InputError, match="chunk"):
+            clustering_coefficient(g, chunk=chunk)
+
+    def test_200k_leaf_star_is_fast(self):
+        # the hub ranks last, so its 200k links open no wedges
+        leaves = 200_000
+        g = index_graph(leaves + 1, np.zeros(leaves, dtype=np.int64), np.arange(1, leaves + 1))
+        start = time.perf_counter()
+        assert clustering_coefficient(g) == 0.0
+        assert time.perf_counter() - start < 5.0
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     def test_always_within_unit_interval(self, seed):

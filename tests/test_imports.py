@@ -1,5 +1,8 @@
 """Each command imports only the scipy submodules its kernels use.
 
+Only the logistic commands need scipy (``scipy.special.expit``); the graph
+kernels and the diffusion are numpy.
+
 Every CLI call is a fresh process, so a module-level scipy import is paid
 on every command. These tests run each command in a fresh interpreter and
 read which ``scipy`` modules it left in ``sys.modules``.
@@ -105,8 +108,17 @@ def test_logistic_commands_load_only_special(inputs, command):
     assert not loaded(modules, "scipy.sparse")
 
 
-def test_stats_loads_sparse_but_not_stats(inputs):
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["stats"],
+        ["features", "--mode", "multimodal", "--wcc-only"],
+        ["eval", "--mode", "degroot", "--wcc-only"],
+    ],
+    ids=["stats", "features-wcc-only", "eval-degroot-wcc-only"],
+)
+def test_graph_kernel_commands_load_no_scipy(inputs, command):
+    # components and clustering are numpy kernels; stats reads edges only
     out, flags = inputs
-    modules = scipy_modules("stats", *flags[:2], "--out", str(out / "o"))
-    assert loaded(modules, "scipy.sparse")
-    assert not loaded(modules, "scipy.stats")
+    flags = flags[:2] if command == ["stats"] else flags
+    assert scipy_modules(*command, *flags, "--out", str(out / "o")) == set()

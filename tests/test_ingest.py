@@ -88,6 +88,13 @@ class TestParseScores:
         with pytest.raises(InputError):
             table.scores("nobody")
 
+    def test_restrict_dropping_no_user_is_the_table_itself(self):
+        table = parse_scores("u1,p1,0.5\nu2,p1,0.25\n")
+        assert table.restrict(["u2", "u1", "other"]) is table
+        assert table.with_users([]) is table
+        kept = table.restrict(["u2"])
+        assert kept.users() == ["u2"] and list(kept.scores("u2")) == [0.25]
+
 
 class TestParseLabels:
     def test_basic(self):
@@ -157,6 +164,13 @@ class TestBindDataset:
         ds = bind_dataset(graph, scores, LabelSet())
         assert "ghost" in ds.graph.id_index
         assert ds.graph.out_degrees()[ds.graph.id_index["ghost"]] == 0
+
+    def test_nothing_dropped_keeps_the_parsed_table(self):
+        graph = build_graph([("a", "b")])
+        scores = parse_scores("a,p,0.9\nb,p,0.1\n")
+        ds = bind_dataset(graph, scores, parse_labels("a,1\n"))
+        assert ds.scores is scores
+        assert ds.discard_summary["dropped_scored_users"] == 0
 
     def test_never_invents_users(self):
         graph = build_graph([("a", "b")])
