@@ -21,13 +21,7 @@ from .features import (
     MODES,
     AggregationConfig,
     FeatureMatrix,
-    bin_histogram,
     build_features,
-    fixed_classify,
-    fixed_count,
-    quantile_histogram,
-    relational_features,
-    softmax,
 )
 from .graph import (
     ComponentCounts,
@@ -92,7 +86,6 @@ __all__ = [
     "ScoreTable",
     "SocialGraph",
     "SynthConfig",
-    "bin_histogram",
     "bind_dataset",
     "build_features",
     "build_graph",
@@ -104,8 +97,6 @@ __all__ = [
     "degroot_init",
     "degroot_run",
     "degroot_step",
-    "fixed_classify",
-    "fixed_count",
     "generate",
     "graph_stats",
     "largest_wcc",
@@ -117,10 +108,7 @@ __all__ = [
     "powerlaw_gamma",
     "powerlaw_gamma_mle",
     "predict_proba",
-    "quantile_histogram",
     "read_edges",
-    "relational_features",
-    "softmax",
     "stratified_kfold",
     "threshold_sweep",
     "train_logreg",

@@ -4,7 +4,8 @@ Subcommands: ``stats``, ``features``, ``train``, ``eval``, ``sweep``,
 ``diffuse``, ``synth``. Every run emits a config echo sufficient to
 reproduce it: JSON outputs embed it under a "config" key, CSV outputs get a
 ``<out>.config.json`` sidecar. Identical inputs and flags produce
-byte-identical outputs regardless of ``--threads``.
+byte-identical outputs; ``--threads`` is accepted and ignored, since every
+command runs on one thread.
 
 Exit codes: 0 success, 2 invalid input or flags, 3 structurally degenerate
 data (for example single-class labels).
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import sys
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 from typing import IO, Callable, Iterator
 
@@ -129,7 +131,6 @@ def _learn_config(args, **cv) -> LearnConfig:
     return LearnConfig(
         l2_lambda=args.l2_lambda,
         decision_threshold=args.decision_threshold,
-        threads=args.threads,
         **cv,
     )
 
@@ -140,7 +141,6 @@ def _diffusion_config(args) -> DiffusionConfig:
         max_iters=args.max_iters,
         tol=args.tol,
         init=args.init,
-        threshold=args.belief_threshold,
     )
 
 
@@ -175,36 +175,34 @@ def cmd_stats(args) -> int:
 
 def cmd_features(args) -> int:
     dataset = _load_dataset(args)
-    fm = build_features(dataset, args.mode, _agg_config(args), threads=args.threads)
+    agg = _agg_config(args)
+    fm = build_features(dataset, args.mode, agg)
     with _output(args.out) as fh:
         fm.to_csv(fh)
-    _write_config_sidecar(args.out, _feature_echo(args))
+    _write_config_sidecar(args.out, _feature_echo(args, agg))
     return 0
 
 
-def _feature_echo(args) -> dict:
-    # no threads field: outputs are thread-count independent by contract
+def _feature_echo(args, agg: AggregationConfig) -> dict:
     return {
         **_io_echo(args, "edges", "scores", "labels"),
         "mode": args.mode,
-        "tau_t": args.tau_t,
-        "tau_fixed": args.tau_fixed,
-        "k_bins": args.bins,
-        "softmax_histograms": not args.raw_histograms,
+        **asdict(agg),
         "wcc_only": args.wcc_only,
     }
 
 
 def cmd_train(args) -> int:
     dataset = _load_dataset(args, need_labels=True)
-    fm = build_features(dataset, args.mode, _agg_config(args), threads=args.threads)
+    agg = _agg_config(args)
+    fm = build_features(dataset, args.mode, agg)
     node_idx, y = dataset.labeled_indices()
     if len(y) == 0:
         raise DegenerateDataError("no labeled users to train on")
     model = train_logreg(fm.values[node_idx], y, _learn_config(args), schema=fm.schema)
     payload = {
         "config": {
-            **_feature_echo(args),
+            **_feature_echo(args, agg),
             "l2_lambda": args.l2_lambda,
             "decision_threshold": args.decision_threshold,
         },
@@ -236,20 +234,21 @@ def _parse_thresholds(text: str) -> list[int]:
 
 def cmd_eval(args) -> int:
     dataset = _load_dataset(args, need_labels=True)
+    agg = _agg_config(args)
     if args.sweep is not None:
         if args.mode != "fixed":
             raise InputError("--sweep applies to --mode fixed only")
         thresholds = _parse_thresholds(args.sweep)
-        text = _sweep_rows(dataset, thresholds, args.tau_t)
+        text = _sweep_rows(dataset, thresholds, agg.tau_t)
         _write_text(args.out, text)
         _write_config_sidecar(
-            args.out, {**_feature_echo(args), "sweep": thresholds}
+            args.out, {**_feature_echo(args, agg), "sweep": thresholds}
         )
         return 0
     report = cross_validate(
         dataset,
         args.mode,
-        agg=_agg_config(args),
+        agg=agg,
         config=_learn_config(
             args,
             folds=args.folds,
@@ -304,11 +303,7 @@ def cmd_diffuse(args) -> int:
         args.out,
         {
             **_io_echo(args, "edges", "scores"),
-            "direction": config.direction,
-            "max_iters": config.max_iters,
-            "tol": config.tol,
-            "init": config.init,
-            "belief_threshold": config.threshold,
+            **asdict(config),
             "tau_t": args.tau_t,
             "tau_fixed": args.tau_fixed,
             "iterations": beliefs.iteration,
@@ -443,17 +438,24 @@ def _add_diffusion_flags(p) -> None:
         default="fraction",
         help="belief seeding: flagged-post fraction or naive classification",
     )
-    p.add_argument(
-        "--belief-threshold",
-        type=float,
-        default=0.5,
-        help="belief cutoff for classification",
-    )
+
+
+def _thread_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_threads_flag(p) -> None:
     p.add_argument(
-        "--threads", type=int, default=1, help="worker cap (output independent of it)"
+        "--threads",
+        type=_thread_count,
+        default=1,
+        help="accepted and ignored: every command runs on one thread",
     )
 
 

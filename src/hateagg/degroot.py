@@ -48,7 +48,6 @@ class DiffusionConfig:
     max_iters: int = 100
     tol: float = 1e-6
     init: str = "fraction"  # or "binary": seed with the naive classification
-    threshold: float = 0.5
 
     def __post_init__(self) -> None:
         if self.direction not in DIRECTIONS:
@@ -59,8 +58,6 @@ class DiffusionConfig:
             raise InputError("max_iters must be >= 1")
         if self.tol <= 0:
             raise InputError("tol must be > 0")
-        if not (0.0 <= self.threshold <= 1.0):
-            raise InputError("threshold must be in [0, 1]")
 
 
 def degroot_init(

@@ -14,7 +14,7 @@ Histogram blocks are softmax-normalized by default; a raw-count mode exists
 for ablation. The multimodal mode concatenates relational + bins + quantiles
 and leaves the weighting to the downstream classifier.
 
-Binning convention, used identically by every code path: a score ``s`` lands
+Binning convention: a score ``s`` lands
 in bin ``floor(s * k)`` clipped to ``k - 1`` (half-open bins, last bin closed
 at the top). Users with zero posts get all-zero feature rows; softmax is never
 applied to an empty histogram.
@@ -22,35 +22,24 @@ applied to an empty histogram.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
 from .errors import InputError
-from .ingest import Dataset, ScoreTable
+from .ingest import Dataset
 from .serialize import write_rows
 
 __all__ = [
     "AggregationConfig",
     "FeatureMatrix",
     "MODES",
-    "fixed_count",
-    "fixed_classify",
-    "relational_features",
-    "bin_histogram",
-    "quantile_histogram",
-    "softmax",
     "build_features",
     "per_node_counts",
 ]
 
 MODES = ("fixed", "relational", "bins", "quantiles", "bins+quantiles", "multimodal")
-
-_CHUNK = 8192  # scored users per worker task; fixed so output ignores threading
-
 
 @dataclass
 class AggregationConfig:
@@ -88,103 +77,9 @@ class FeatureMatrix:
     values: np.ndarray
     mode: str
 
-    def row(self, user_index: int) -> np.ndarray:
-        return self.values[user_index]
-
     def to_csv(self, stream: IO[str]) -> None:
         stream.write("user_id," + ",".join(self.schema) + "\n")
         write_rows(stream, [self.user_ids], self.values)
-
-
-# -- scalar per-user operations ----------------------------------------------
-
-
-def fixed_count(user: str, scores: ScoreTable, tau_t: float) -> int:
-    """Number of the user's posts with score >= tau_t."""
-    vals = scores.scores(user)
-    return int(np.count_nonzero(vals >= tau_t))
-
-
-def fixed_classify(user: str, scores: ScoreTable, tau_t: float, tau_fixed: int) -> int:
-    """Naive per-user classification: 1 iff the flagged-post count reaches tau_fixed."""
-    return int(fixed_count(user, scores, tau_t) >= tau_fixed)
-
-
-def _user_cf(user: str, dataset: Dataset, config: AggregationConfig) -> int:
-    if user not in dataset.scores:
-        return 0
-    return fixed_classify(user, dataset.scores, config.tau_t, config.tau_fixed)
-
-
-def relational_features(
-    user: str, dataset: Dataset, config: AggregationConfig
-) -> np.ndarray:
-    """[own flag, mean follower flag, mean followee flag] for one user.
-
-    Neighbor flags come from scores only, never from ground-truth labels, so
-    the same values are valid at train and test time. Users with no followers
-    (or followees) contribute 0 for that term.
-    """
-    g = dataset.graph
-    if user not in g.id_index:
-        raise InputError(f"unknown user {user!r}")
-    i = g.id_index[user]
-
-    def mean_cf(neigh: np.ndarray) -> float:
-        if len(neigh) == 0:
-            return 0.0
-        total = sum(_user_cf(g.ids[int(j)], dataset, config) for j in neigh)
-        return total / len(neigh)
-
-    return np.array(
-        [
-            float(_user_cf(user, dataset, config)),
-            mean_cf(g.in_neighbors(i)),
-            mean_cf(g.out_neighbors(i)),
-        ]
-    )
-
-
-def bin_histogram(user: str, scores: ScoreTable, k: int) -> np.ndarray:
-    """Counts of the user's scores over k equal bins of [0, 1]."""
-    if k < 2:
-        raise InputError(f"k must be >= 2, got {k}")
-    vals = scores.scores(user)
-    out = np.zeros(k, dtype=np.int64)
-    for v in vals:
-        out[min(int(math.floor(v * k)), k - 1)] += 1
-    return out
-
-
-def quantile_histogram(user: str, scores: ScoreTable, k: int) -> np.ndarray:
-    """Counts over k equal bins spanning the user's own [min, max] score range.
-
-    All posts land in bin 0 when the range is degenerate (min == max); a
-    registered zero-post user yields the all-zero vector.
-    """
-    if k < 2:
-        raise InputError(f"k must be >= 2, got {k}")
-    vals = scores.scores(user)
-    out = np.zeros(k, dtype=np.int64)
-    if len(vals) == 0:
-        return out
-    lo, hi = float(vals.min()), float(vals.max())
-    if lo == hi:
-        out[0] = len(vals)
-        return out
-    for v in vals:
-        out[min(int(math.floor((v - lo) / (hi - lo) * k)), k - 1)] += 1
-    return out
-
-
-def softmax(v: np.ndarray) -> np.ndarray:
-    """Exp-normalize with max subtraction; safe for large entries."""
-    v = np.asarray(v, dtype=np.float64)
-    e = np.exp(v - v.max())
-    return e / e.sum()
-
-
-# -- vectorized whole-dataset machinery ---------------------------------------
 
 
 def _scored_segments(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -234,98 +129,47 @@ def _relational_block(dataset: Dataset, config: AggregationConfig) -> np.ndarray
     return out
 
 
-def _histogram_chunk(
-    offsets: np.ndarray,
-    values: np.ndarray,
-    k: int,
-    kind: str,
-    apply_softmax: bool,
-    out: np.ndarray,
-) -> None:
-    """Fill ``out`` (n_chunk_users x k) with one histogram family."""
-    n_users = len(offsets) - 1
+def _histogram_block(
+    dataset: Dataset, config: AggregationConfig, kind: str
+) -> np.ndarray:
+    """Per-node histogram features (all nodes; rows without posts stay zero)."""
+    n = dataset.graph.node_count
+    k = config.k_bins
+    nodes, offsets, values = _scored_segments(dataset)
     lengths = np.diff(offsets)
-    if values.size == 0:
-        return
+    posted = lengths > 0
     if kind == "bins":
         idx = np.floor(values * k)
     else:  # per-user score range
-        starts = offsets[:-1][lengths > 0]
-        mins = np.minimum.reduceat(values, starts)
-        maxs = np.maximum.reduceat(values, starts)
-        min_rep = np.zeros(len(lengths))
-        span_rep = np.zeros(len(lengths))
-        min_rep[lengths > 0] = mins
-        span_rep[lengths > 0] = maxs - mins
-        lo = np.repeat(min_rep, lengths)
-        span = np.repeat(span_rep, lengths)
+        starts = offsets[:-1][posted]
+        lo = np.zeros(len(lengths))
+        span = np.zeros(len(lengths))
+        lo[posted] = np.minimum.reduceat(values, starts)
+        span[posted] = np.maximum.reduceat(values, starts) - lo[posted]
         with np.errstate(invalid="ignore", divide="ignore"):
-            idx = np.floor((values - lo) / span * k)
+            idx = np.floor(
+                (values - np.repeat(lo, lengths)) / np.repeat(span, lengths) * k
+            )
         idx[~np.isfinite(idx)] = 0.0  # degenerate range: everything in bin 0
     idx = np.clip(idx.astype(np.int64), 0, k - 1)
-    rows = np.repeat(np.arange(n_users, dtype=np.int64), lengths)
-    hist = np.bincount(rows * k + idx, minlength=n_users * k).reshape(n_users, k)
-    out[:] = hist.astype(np.float64)
-    if apply_softmax:
-        nonzero = lengths > 0
-        block = out[nonzero]
+    rows = np.repeat(nodes, lengths)
+    out = np.bincount(rows * k + idx, minlength=n * k).reshape(n, k).astype(np.float64)
+    if config.softmax_histograms:
+        # row-wise, so each row's bytes do not depend on the other rows
+        block = out[nodes[posted]]
         block -= block.max(axis=1, keepdims=True)
         np.exp(block, out=block)
         block /= block.sum(axis=1, keepdims=True)
-        out[nonzero] = block
-
-
-def _histogram_block(
-    dataset: Dataset,
-    config: AggregationConfig,
-    kind: str,
-    threads: int,
-) -> np.ndarray:
-    """Per-node histogram features (all nodes; unscored rows stay zero)."""
-    g = dataset.graph
-    k = config.k_bins
-    nodes, offsets, values = _scored_segments(dataset)
-    scored = np.zeros((len(nodes), k), dtype=np.float64)
-
-    tasks = []
-    for start in range(0, len(nodes), _CHUNK):
-        stop = min(start + _CHUNK, len(nodes))
-        sub_off = offsets[start : stop + 1] - offsets[start]
-        sub_val = values[offsets[start] : offsets[stop]]
-        tasks.append((sub_off, sub_val, scored[start:stop]))
-
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(
-                    _histogram_chunk, off, val, k, kind,
-                    config.softmax_histograms, dst,
-                )
-                for off, val, dst in tasks
-            ]
-            for f in futures:
-                f.result()
-    else:
-        for off, val, dst in tasks:
-            _histogram_chunk(off, val, k, kind, config.softmax_histograms, dst)
-
-    full = np.zeros((g.node_count, k), dtype=np.float64)
-    if len(nodes):
-        full[nodes] = scored
-    return full
+        out[nodes[posted]] = block
+    return out
 
 
 def build_features(
     dataset: Dataset,
     mode: str,
     config: AggregationConfig | None = None,
-    threads: int = 1,
 ) -> FeatureMatrix:
-    """Feature matrix for every user in the dataset, rows in node-index order.
-
-    Output is independent of ``threads``: work is split into fixed-size
-    chunks of users and each chunk writes a disjoint slice of the result.
-    """
+    """Feature matrix for every user in the dataset, rows in node-index order."""
     if mode not in MODES:
         raise InputError(f"unknown mode {mode!r}; expected one of {MODES}")
     config = config or AggregationConfig()
@@ -340,10 +184,10 @@ def build_features(
         blocks.append((names, _relational_block(dataset, config)))
     if mode in ("bins", "bins+quantiles", "multimodal"):
         names = [f"bin_{i}" for i in range(k)]
-        blocks.append((names, _histogram_block(dataset, config, "bins", threads)))
+        blocks.append((names, _histogram_block(dataset, config, "bins")))
     if mode in ("quantiles", "bins+quantiles", "multimodal"):
         names = [f"quantile_{i}" for i in range(k)]
-        blocks.append((names, _histogram_block(dataset, config, "quantiles", threads)))
+        blocks.append((names, _histogram_block(dataset, config, "quantiles")))
 
     schema = [name for names, _ in blocks for name in names]
     values = np.hstack([b for _, b in blocks])

@@ -15,8 +15,7 @@ weights (never the bias):
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +52,6 @@ class LearnConfig:
     grad_tol: float = 1e-7
     decision_threshold: float = 0.5
     select_threshold: bool = False  # pick the threshold by train-fold F1
-    threads: int = 1
 
     def __post_init__(self) -> None:
         if self.folds < 2:
@@ -62,8 +60,6 @@ class LearnConfig:
             raise InputError("l2_lambda must be >= 0")
         if not (0.0 <= self.decision_threshold <= 1.0):
             raise InputError("decision_threshold must be in [0, 1]")
-        if self.threads < 1:
-            raise InputError("threads must be >= 1")
 
 
 @dataclass
@@ -385,15 +381,11 @@ def cross_validate_features(
         pred = (scores >= thr).astype(np.int64)
         return metrics(y[test_idx], pred, scores)
 
-    fold_metrics = _run_folds(eval_fold, folds, config.threads)
-    return _summarize(run_config or {}, fold_metrics)
+    return _summarize(run_config or {}, _run_folds(eval_fold, folds))
 
 
-def _run_folds(eval_fold, folds, threads: int) -> list[dict]:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [pool.submit(eval_fold, f) for f in folds]
-            return [f.result() for f in futures]
+def _run_folds(eval_fold, folds) -> list[dict]:
+    # one named call for every fold loop, so a tracer can time each fold
     return [eval_fold(f) for f in folds]
 
 
@@ -426,8 +418,7 @@ def _degroot_report(
         pred = (scores[test_idx] >= thr).astype(np.int64)
         return metrics(y[test_idx], pred, scores[test_idx])
 
-    fold_metrics = _run_folds(eval_fold, folds, config.threads)
-    return _summarize(run_config, fold_metrics)
+    return _summarize(run_config, _run_folds(eval_fold, folds))
 
 
 def cross_validate(
@@ -449,10 +440,7 @@ def cross_validate(
     config = config or LearnConfig()
     run_config = {
         "mode": mode,
-        "tau_t": agg.tau_t,
-        "tau_fixed": agg.tau_fixed,
-        "k_bins": agg.k_bins,
-        "softmax_histograms": agg.softmax_histograms,
+        **asdict(agg),
         "folds": config.folds,
         "seed": config.seed,
         "l2_lambda": config.l2_lambda,
@@ -461,18 +449,10 @@ def cross_validate(
     }
     if mode == "degroot":
         diffusion = diffusion or DiffusionConfig()
-        run_config.update(
-            {
-                "direction": diffusion.direction,
-                "max_iters": diffusion.max_iters,
-                "tol": diffusion.tol,
-                "init": diffusion.init,
-                "threshold_selection": "train_fold_f1",
-            }
-        )
+        run_config.update(asdict(diffusion), threshold_selection="train_fold_f1")
         return _degroot_report(dataset, agg, config, diffusion, run_config)
 
-    fm = build_features(dataset, mode, agg, threads=config.threads)
+    fm = build_features(dataset, mode, agg)
     node_idx, y = dataset.labeled_indices()
     if len(y) == 0:
         raise DegenerateDataError("dataset has no labeled users")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
@@ -121,11 +122,98 @@ class TestArgumentHandling:
         assert "--l2-lambda" in text
         assert "default: 0.5" in text
 
+    @pytest.mark.parametrize("command", ["features", "train", "eval"])
+    @pytest.mark.parametrize("value", ["0", "-5", "two"])
+    def test_bad_thread_count_rejected(self, synth_dir, tmp_path, capsys, command, value):
+        out = tmp_path / "out"
+        code = run(command, *synth_args(synth_dir), "--threads", value, "--out", str(out))
+        assert code == 2
+        assert "--threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--select-threshold", "--threads", "2"],
+            ["features", "--threads", "8"],
+        ],
+        ids=["eval", "features"],
+    )
+    def test_threads_flag_starts_no_thread(self, synth_dir, tmp_path, monkeypatch, argv):
+        started = []
+        original = threading.Thread.start
+
+        def counting_start(thread):
+            started.append(thread.name)
+            original(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        out = tmp_path / "out"
+        assert run(argv[0], *synth_args(synth_dir), *argv[1:], "--out", str(out)) == 0
+        assert started == []
+
     def test_top_level_help(self, capsys):
         assert run("--help") == 0
         text = capsys.readouterr().out
         for name in ("stats", "features", "train", "eval", "sweep", "diffuse", "synth"):
             assert name in text
+
+
+FEATURE_ECHO = [
+    "subcommand", "edges", "scores", "labels", "mode",
+    "tau_t", "tau_fixed", "k_bins", "softmax_histograms", "wcc_only",
+]
+CV_ECHO = [
+    "subcommand", "edges", "scores", "labels", "mode",
+    "tau_t", "tau_fixed", "k_bins", "softmax_histograms",
+    "folds", "seed", "l2_lambda", "decision_threshold", "select_threshold",
+]
+
+
+class TestConfigEcho:
+    """Every subcommand's reproducibility echo: its keys, in order."""
+
+    @pytest.mark.parametrize(
+        "argv, sidecar, keys",
+        [
+            (["features"], True, FEATURE_ECHO),
+            (["train"], False, FEATURE_ECHO + ["l2_lambda", "decision_threshold"]),
+            (["eval"], False, CV_ECHO),
+            (
+                ["eval", "--mode", "degroot"],
+                False,
+                CV_ECHO + ["direction", "max_iters", "tol", "init", "threshold_selection"],
+            ),
+            (["eval", "--mode", "fixed", "--sweep", "1,3"], True, FEATURE_ECHO + ["sweep"]),
+            (
+                ["sweep"],
+                True,
+                ["subcommand", "edges", "scores", "labels", "tau_t", "thresholds"],
+            ),
+            (
+                ["diffuse"],
+                True,
+                [
+                    "subcommand", "edges", "scores", "direction", "max_iters", "tol",
+                    "init", "tau_t", "tau_fixed", "iterations",
+                ],
+            ),
+        ],
+        ids=["features", "train", "eval", "eval-degroot", "eval-sweep", "sweep", "diffuse"],
+    )
+    def test_keys_in_order(self, synth_dir, tmp_path, capsys, argv, sidecar, keys):
+        out = tmp_path / "out"
+        assert run(argv[0], *synth_args(synth_dir), *argv[1:], "--out", str(out)) == 0
+        if sidecar:
+            echo = json.loads((tmp_path / "out.config.json").read_text())
+        else:
+            echo = json.loads(out.read_text())["config"]
+        assert list(echo) == keys
+
+    def test_stats_keys_in_order(self, triangle_edges, capsys):
+        assert run("stats", "--edges", triangle_edges) == 0
+        echo = json.loads(capsys.readouterr().out)["config"]
+        assert list(echo) == ["subcommand", "edges", "k_min", "continuity_correction"]
 
 
 class TestSynth:
@@ -311,6 +399,17 @@ class TestEval:
         )
         assert code == 3
 
+    def test_sweep_validates_the_echoed_config(self, synth_dir, tmp_path, capsys):
+        # the sidecar echoes k_bins, so an invalid value fails as it does elsewhere
+        out = tmp_path / "x.csv"
+        code = run(
+            "eval", *synth_args(synth_dir), "--mode", "fixed",
+            "--sweep", "1,3", "--bins", "1", "--out", str(out),
+        )
+        assert code == 2
+        assert "k_bins" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bad_folds_rejected(self, synth_dir, tmp_path, capsys):
         code = run(
             "eval", *synth_args(synth_dir), "--folds", "1",
@@ -365,6 +464,16 @@ class TestDiffuse:
         sidecar = json.loads((tmp_path / "beliefs.csv.config.json").read_text())
         assert sidecar["direction"] == "undirected"
         assert sidecar["iterations"] == len(log_lines)
+
+    @pytest.mark.parametrize("command", ["diffuse", "eval"])
+    def test_belief_threshold_flag_is_gone(self, synth_dir, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        code = run(
+            command, *synth_args(synth_dir), "--belief-threshold", "0.9",
+            "--out", str(out),
+        )
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_repeat_run_identical_bytes(self, synth_dir, tmp_path, capsys):
         outs = []

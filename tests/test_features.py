@@ -1,54 +1,53 @@
 from __future__ import annotations
 
-import io
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from hateagg import (
-    AggregationConfig,
-    InputError,
-    bin_histogram,
-    build_features,
-    fixed_classify,
-    fixed_count,
-    quantile_histogram,
-    relational_features,
-    softmax,
-)
+from hateagg import AggregationConfig, InputError, build_features
 from hateagg.features import per_node_counts
 
 from conftest import make_dataset, random_dataset
-from oracles import naive_feature_matrix, naive_softmax
+from oracles import (
+    naive_bin_histogram,
+    naive_feature_matrix,
+    naive_fixed_count,
+    naive_softmax,
+)
 
 pytestmark = []
 
 
-def score_table(**per_user):
-    ds = make_dataset([], scores=per_user, isolated=tuple(per_user))
-    return ds.scores
+def user_row(scores, mode, **config):
+    """The feature row of a single isolated user with the given post scores."""
+    ds = make_dataset([], scores={"u": scores}, isolated=("u",))
+    return build_features(ds, mode, AggregationConfig(**config)).values[0]
+
+
+def count_row(scores, mode, k):
+    """Raw histogram counts (no softmax) of a single user's scores."""
+    return list(user_row(scores, mode, k_bins=k, softmax_histograms=False))
+
+
+def hate_post_count(scores, tau_t):
+    return user_row(scores, "fixed", tau_t=tau_t)[0]
+
+
+def count_rule_flag(scores, tau_t, tau_fixed):
+    # cf_self, the first relational column: the naive per-user classification
+    return user_row(scores, "relational", tau_t=tau_t, tau_fixed=tau_fixed)[0]
 
 
 class TestFixedCount:
     def test_direct_count(self):
-        t = score_table(u1=[0.9, 0.3, 0.6])
-        assert fixed_count("u1", t, 0.5) == 2
+        assert hate_post_count([0.9, 0.3, 0.6], 0.5) == 2
 
     def test_boundary_inclusive(self):
-        t = score_table(u1=[0.5])
-        assert fixed_count("u1", t, 0.5) == 1
+        assert hate_post_count([0.5], 0.5) == 1
 
     def test_zero_posts(self):
-        t = score_table(u1=[])
-        assert fixed_count("u1", t, 0.5) == 0
-
-    def test_unknown_user(self):
-        t = score_table(u1=[0.5])
-        with pytest.raises(InputError):
-            fixed_count("nobody", t, 0.5)
+        assert hate_post_count([], 0.5) == 0
 
     @given(
         st.lists(st.floats(min_value=0, max_value=1), max_size=30),
@@ -57,22 +56,18 @@ class TestFixedCount:
     )
     def test_monotone_in_threshold(self, scores, t1, t2):
         lo, hi = min(t1, t2), max(t1, t2)
-        t = score_table(u=scores)
-        assert fixed_count("u", t, lo) >= fixed_count("u", t, hi)
+        assert hate_post_count(scores, lo) >= hate_post_count(scores, hi)
 
 
 class TestFixedClassify:
     def test_zero_tolerance(self):
-        t = score_table(u=[0.9, 0.8])
-        assert fixed_classify("u", t, 0.5, 1) == 1
+        assert count_rule_flag([0.9, 0.8], 0.5, 1) == 1
 
     def test_below_threshold(self):
-        t = score_table(u=[0.9, 0.8])
-        assert fixed_classify("u", t, 0.5, 3) == 0
+        assert count_rule_flag([0.9, 0.8], 0.5, 3) == 0
 
     def test_zero_count_never_flagged(self):
-        t = score_table(u=[])
-        assert fixed_classify("u", t, 0.5, 1) == 0
+        assert count_rule_flag([], 0.5, 1) == 0
 
 
 class TestRelationalFeatures:
@@ -93,13 +88,11 @@ class TestRelationalFeatures:
 
     def test_direct_means(self):
         ds = self.make()
-        got = relational_features("u", ds, AggregationConfig(tau_fixed=3))
-        assert list(got) == [1.0, 0.5, 0.0]
+        fm = build_features(ds, "relational", AggregationConfig(tau_fixed=3))
+        assert list(fm.values[ds.graph.id_index["u"]]) == [1.0, 0.5, 0.0]
 
     def test_isolated_user_all_zero(self):
-        ds = make_dataset([], scores={"solo": [0.1]}, isolated=("solo",))
-        got = relational_features("solo", ds, AggregationConfig())
-        assert list(got) == [0.0, 0.0, 0.0]
+        assert list(user_row([0.1], "relational")) == [0.0, 0.0, 0.0]
 
     def test_reported_weights_combination(self):
         # linear score alpha*1 + beta*0.5 + gamma*0 for the published weights
@@ -107,65 +100,55 @@ class TestRelationalFeatures:
         weights = np.array([0.608, 0.776, 1.467])
         assert abs(float(feats @ weights) - 0.996) < 1e-12
 
-    def test_unknown_user_rejected(self):
-        ds = self.make()
-        with pytest.raises(InputError):
-            relational_features("nobody", ds, AggregationConfig())
-
 
 class TestBinHistogram:
     def test_equal_width_placement(self):
-        t = score_table(u=[0.05, 0.15, 0.95])
         # both low scores land in [0, 0.2): bins are [i/5, (i+1)/5)
-        assert list(bin_histogram("u", t, 5)) == [2, 0, 0, 0, 1]
+        assert count_row([0.05, 0.15, 0.95], "bins", 5) == [2, 0, 0, 0, 1]
 
     def test_score_one_goes_to_last_bin(self):
-        t = score_table(u=[1.0])
-        assert list(bin_histogram("u", t, 5)) == [0, 0, 0, 0, 1]
+        assert count_row([1.0], "bins", 5) == [0, 0, 0, 0, 1]
 
     def test_half_open_boundary(self):
-        t = score_table(u=[0.49, 0.5])
-        assert list(bin_histogram("u", t, 2)) == [1, 1]
+        assert count_row([0.49, 0.5], "bins", 2) == [1, 1]
 
     @given(st.lists(st.floats(min_value=0, max_value=1), max_size=40),
            st.integers(min_value=2, max_value=12))
     def test_counts_sum_to_posts(self, scores, k):
-        t = score_table(u=scores)
-        assert sum(bin_histogram("u", t, k)) == len(scores)
+        assert sum(count_row(scores, "bins", k)) == len(scores)
 
 
 class TestQuantileHistogram:
     def test_per_user_range(self):
-        t = score_table(u=[0.1, 0.2, 0.3])
         # bins over [0.1, 0.3]; 0.2 sits exactly on the midpoint boundary
-        assert list(quantile_histogram("u", t, 2)) == [1, 2]
+        assert count_row([0.1, 0.2, 0.3], "quantiles", 2) == [1, 2]
 
     def test_degenerate_range_fills_first_bin(self):
-        t = score_table(u=[0.5, 0.5])
-        assert list(quantile_histogram("u", t, 4)) == [2, 0, 0, 0]
+        assert count_row([0.5, 0.5], "quantiles", 4) == [2, 0, 0, 0]
 
     def test_full_range(self):
-        t = score_table(u=[0.0, 1.0])
-        assert list(quantile_histogram("u", t, 2)) == [1, 1]
+        assert count_row([0.0, 1.0], "quantiles", 2) == [1, 1]
 
     def test_zero_posts_all_zero(self):
-        t = score_table(u=[])
-        assert list(quantile_histogram("u", t, 3)) == [0, 0, 0]
+        assert count_row([], "quantiles", 3) == [0, 0, 0]
 
     @given(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=40),
            st.integers(min_value=2, max_value=12))
     def test_counts_sum_to_posts(self, scores, k):
-        t = score_table(u=scores)
-        assert sum(quantile_histogram("u", t, k)) == len(scores)
+        assert sum(count_row(scores, "quantiles", k)) == len(scores)
 
 
 class TestSoftmax:
+    """The softmax that normalizes a histogram block, seen through ``bins`` rows."""
+
     def test_uniform_on_constant_input(self):
-        got = softmax(np.zeros(3))
+        # one post per bin: the counts [1, 1, 1] are constant
+        got = user_row([0.1, 0.5, 0.9], "bins", k_bins=3)
         assert np.allclose(got, [1 / 3] * 3, atol=1e-15)
 
     def test_hand_computed_value(self):
-        got = softmax(np.array([2.0, 0.0, 0.0]))
+        # counts [2, 0, 0]
+        got = user_row([0.1, 0.2], "bins", k_bins=3)
         want = [
             0.78698604216159877,
             0.10650697891920076,
@@ -174,24 +157,29 @@ class TestSoftmax:
         assert np.allclose(got, want, atol=1e-15)
 
     def test_large_values_do_not_overflow(self):
-        got = softmax(np.array([1000.0, 0.0]))
+        # counts [1000, 0]: exp(1000) alone would overflow
+        got = user_row([0.1] * 1000, "bins", k_bins=2)
         assert np.all(np.isfinite(got))
         assert abs(got[0] - 1.0) < 1e-12
         assert got[1] < 1e-12
 
-    @given(st.lists(st.floats(min_value=-50, max_value=50), min_size=1, max_size=12))
-    def test_simplex_output(self, values):
-        got = softmax(np.array(values))
+    @given(st.lists(st.floats(min_value=0, max_value=1), min_size=1, max_size=60),
+           st.integers(min_value=2, max_value=12))
+    def test_simplex_output(self, scores, k):
+        got = user_row(scores, "bins", k_bins=k)
         assert abs(float(got.sum()) - 1.0) < 1e-9
         assert np.all(got >= 0)
 
     def test_matches_scalar_reference(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
-            v = rng.normal(size=int(rng.integers(1, 15))) * 10
-            assert np.allclose(
-                softmax(v), naive_softmax(list(v)), atol=1e-13
+            k = int(rng.integers(2, 15))
+            # skewed scores pile up counts, so the exponents spread widely
+            scores = list(rng.random(int(rng.integers(1, 80))) ** 3)
+            want = naive_softmax(
+                [float(c) for c in naive_bin_histogram(scores, k)]
             )
+            assert np.allclose(user_row(scores, "bins", k_bins=k), want, atol=1e-13)
 
 
 class TestBuildFeatures:
@@ -257,20 +245,6 @@ class TestBuildFeatures:
                 want = naive_feature_matrix(ds, mode, config)
                 assert np.max(np.abs(fm.values - want)) < 1e-12
 
-    def test_thread_count_does_not_change_bytes(self):
-        rng = np.random.default_rng(61)
-        ds = random_dataset(rng, max_users=150, max_posts=30)
-        fms = [
-            build_features(ds, "multimodal", AggregationConfig(), threads=t)
-            for t in (1, 2, 8)
-        ]
-        buffers = []
-        for fm in fms:
-            buf = io.StringIO()
-            fm.to_csv(buf)
-            buffers.append(buf.getvalue())
-        assert buffers[0] == buffers[1] == buffers[2]
-
     def test_row_order_follows_node_index(self):
         ds = make_dataset(
             [("z", "m"), ("m", "a")],
@@ -287,7 +261,7 @@ class TestPerNodeCounts:
         counts, posts = per_node_counts(ds, 0.5)
         for i, uid in enumerate(ds.graph.ids):
             if uid in ds.scores:
-                assert counts[i] == fixed_count(uid, ds.scores, 0.5)
+                assert counts[i] == naive_fixed_count(list(ds.scores.scores(uid)), 0.5)
                 assert posts[i] == ds.scores.n_posts(uid)
             else:
                 assert counts[i] == 0

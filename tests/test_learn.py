@@ -381,14 +381,6 @@ class TestCrossValidation:
         b = cross_validate_features(X, y, config, run_config={"tag": 1})
         assert a.to_json() == b.to_json()
 
-    def test_thread_count_does_not_change_report(self):
-        X, y = self.make_separable()
-        reports = [
-            cross_validate_features(X, y, LearnConfig(threads=t))
-            for t in (1, 2, 8)
-        ]
-        assert reports[0].to_json() == reports[1].to_json() == reports[2].to_json()
-
     def test_power_of_two_rescaling_is_invisible(self):
         X, y = self.make_separable()
         X2 = X.copy()
