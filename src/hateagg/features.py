@@ -82,19 +82,6 @@ class FeatureMatrix:
         write_rows(stream, [self.user_ids], self.values)
 
 
-def _scored_segments(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scores of graph users, concatenated in node-index order.
-
-    Returns (node_indices, offsets, values): user ``node_indices[j]`` owns
-    ``values[offsets[j]:offsets[j + 1]]``.
-    """
-    g = dataset.graph
-    rows = dataset.scores.rows_of(g.ids)
-    nodes = np.flatnonzero(rows >= 0)
-    offsets, values = dataset.scores.segments(rows[nodes])
-    return nodes, offsets, values
-
-
 def _segment_sums(flags: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     c = np.zeros(len(flags) + 1, dtype=np.int64)
     np.cumsum(flags, out=c[1:])
@@ -103,14 +90,8 @@ def _segment_sums(flags: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 def per_node_counts(dataset: Dataset, tau_t: float) -> tuple[np.ndarray, np.ndarray]:
     """(flagged-post count, total posts) per node, zeros for unscored users."""
-    n = dataset.graph.node_count
-    nodes, offsets, values = _scored_segments(dataset)
-    counts = np.zeros(n, dtype=np.int64)
-    posts = np.zeros(n, dtype=np.int64)
-    if len(nodes):
-        counts[nodes] = _segment_sums((values >= tau_t).astype(np.int64), offsets)
-        posts[nodes] = np.diff(offsets)
-    return counts, posts
+    offsets = dataset.scores.offsets
+    return _segment_sums(dataset.scores.values >= tau_t, offsets), np.diff(offsets)
 
 
 def _relational_block(dataset: Dataset, config: AggregationConfig) -> np.ndarray:
@@ -135,7 +116,7 @@ def _histogram_block(
     """Per-node histogram features (all nodes; rows without posts stay zero)."""
     n = dataset.graph.node_count
     k = config.k_bins
-    nodes, offsets, values = _scored_segments(dataset)
+    offsets, values = dataset.scores.offsets, dataset.scores.values
     lengths = np.diff(offsets)
     posted = lengths > 0
     if kind == "bins":
@@ -152,15 +133,15 @@ def _histogram_block(
             )
         idx[~np.isfinite(idx)] = 0.0  # degenerate range: everything in bin 0
     idx = np.clip(idx.astype(np.int64), 0, k - 1)
-    rows = np.repeat(nodes, lengths)
+    rows = np.repeat(np.arange(n), lengths)
     out = np.bincount(rows * k + idx, minlength=n * k).reshape(n, k).astype(np.float64)
     if config.softmax_histograms:
         # row-wise, so each row's bytes do not depend on the other rows
-        block = out[nodes[posted]]
+        block = out[posted]
         block -= block.max(axis=1, keepdims=True)
         np.exp(block, out=block)
         block /= block.sum(axis=1, keepdims=True)
-        out[nodes[posted]] = block
+        out[posted] = block
     return out
 
 

@@ -329,13 +329,10 @@ def build_graph(
     indexing never depends on set iteration order.
     """
     edges = edge_pairs if isinstance(edge_pairs, EdgeList) else EdgeList.from_pairs(edge_pairs)
-    ids = edges.ids
-    isolated = sorted(set(isolated_ids))
-    if isolated:
-        if not all(isolated):
-            raise InputError("isolated id must be nonempty")
-        ids = list(ids)
-        intern_ids(isolated, {u: i for i, u in enumerate(ids)}, ids)
+    isolated = set(isolated_ids)
+    if "" in isolated:
+        raise InputError("isolated id must be nonempty")
+    ids = edges.ids + sorted(isolated.difference(edges.ids)) if isolated else edges.ids
     return SocialGraph(ids, edges.src, edges.dst)
 
 
@@ -390,20 +387,11 @@ def largest_wcc(g: SocialGraph) -> SocialGraph:
     return SocialGraph(new_ids, remap[src[mask]], remap[dst[mask]])
 
 
-def component_stats(
-    g: SocialGraph, isolated_ids: Iterable[str] = ()
-) -> ComponentCounts:
-    """Weak component and singleton counts.
-
-    ``isolated_ids`` may name users outside the graph; each unknown id counts
-    as one extra singleton component. A singleton is a node with no incident
-    edges.
-    """
-    extra = sum(1 for u in set(isolated_ids) if u not in g.id_index)
+def component_stats(g: SocialGraph) -> ComponentCounts:
+    """Weak component and singleton counts; a singleton has no incident edges."""
     n_comp, _ = g.components()
     deg = g.out_degrees() + g.in_degrees()
-    singles = int(np.count_nonzero(deg == 0))
-    return ComponentCounts(n_comp + extra, singles + extra)
+    return ComponentCounts(n_comp, int(np.count_nonzero(deg == 0)))
 
 
 def _triangle_counts(indptr: np.ndarray, indices: np.ndarray, chunk: int) -> np.ndarray:
@@ -530,7 +518,6 @@ def powerlaw_gamma(
 
 def graph_stats(
     g: SocialGraph,
-    isolated_ids: Iterable[str] = (),
     k_min: int = 1,
     continuity_correction: bool = True,
 ) -> GraphStats:
@@ -540,7 +527,7 @@ def graph_stats(
     coefficient and the power-law exponent are computed on the largest weakly
     connected component, the same restriction used for evaluation.
     """
-    counts = component_stats(g, isolated_ids)
+    counts = component_stats(g)
     wcc = largest_wcc(g)
     stats = GraphStats(
         n_components=counts.n_components,

@@ -138,7 +138,12 @@ class ScoreTable:
             raise InputError("score table users must be distinct")
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
-        if len(self.offsets) != len(self._users) + 1 or self.offsets[-1] != len(self.values):
+        if (
+            len(self.offsets) != len(self._users) + 1
+            or self.offsets[0] != 0
+            or self.offsets[-1] != len(self.values)
+            or np.any(np.diff(self.offsets) < 0)
+        ):
             raise InputError("score table offsets do not match its users and values")
 
     @classmethod
@@ -181,36 +186,16 @@ class ScoreTable:
         return np.fromiter(map(self._row.get, users, itertools.repeat(-1)), dtype=np.int64)
 
     def segments(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(offsets, values) of the given rows, concatenated in the given order."""
+        """(offsets, values) of the given rows, concatenated in the given order.
+
+        Row -1 (a user ``rows_of`` did not find) owns zero posts.
+        """
         starts = self.offsets[rows]
-        lengths = self.offsets[rows + 1] - starts
+        lengths = np.where(rows >= 0, self.offsets[rows + 1] - starts, 0)
         offsets = np.zeros(len(rows) + 1, dtype=np.int64)
         np.cumsum(lengths, out=offsets[1:])
         gather = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
         return offsets, self.values[gather]
-
-    def restrict(self, users: Iterable[str]) -> "ScoreTable":
-        """Table keeping only the given users (original order preserved).
-
-        Tables are never modified, so a restriction that drops no user is
-        this table itself.
-        """
-        wanted = set(users)
-        keep = np.fromiter(
-            map(wanted.__contains__, self._users), dtype=bool, count=len(self._users)
-        )
-        if keep.all():
-            return self
-        rows = np.flatnonzero(keep)
-        offsets, values = self.segments(rows)
-        return ScoreTable(list(itertools.compress(self._users, keep.tolist())), offsets, values)
-
-    def with_users(self, users: list[str]) -> "ScoreTable":
-        """Table with the given new users appended, each with zero posts; none is itself."""
-        if not users:
-            return self
-        offsets = np.concatenate([self.offsets, np.full(len(users), self.offsets[-1])])
-        return ScoreTable(self._users + users, offsets, self.values)
 
 
 def parse_scores(stream: IO[str] | str) -> ScoreTable:
@@ -299,14 +284,6 @@ class LabelSet:
     def items(self) -> Iterator[tuple[str, int]]:
         return iter(self._labels.items())
 
-    def restrict(self, users: Iterable[str]) -> "LabelSet":
-        wanted = set(users)
-        out = LabelSet()
-        for user, label in self._labels.items():
-            if user in wanted:
-                out._labels[user] = label
-        return out
-
 
 def parse_labels(stream: IO[str] | str) -> LabelSet:
     """Parse a label file; consistent duplicates are tolerated."""
@@ -340,32 +317,34 @@ class BindPolicy:
     restrict_to_wcc
         Keep only the largest weakly connected component; users outside it
         are dropped (and reported), mirroring the evaluation protocol.
+        Otherwise scored users missing from the graph join it as isolated
+        nodes, after the graph's own, in sorted order.
     allow_zero_post_users
         Accept labeled users without a score record; their aggregation
         features become zero vectors downstream.
-    keep_unknown_scored_users
-        Retain scored users missing from the graph as isolated nodes. Under
-        ``restrict_to_wcc`` this is moot: isolated nodes can never join the
-        largest component, so such users are dropped and reported instead.
     """
 
     restrict_to_wcc: bool = False
     allow_zero_post_users: bool = False
-    keep_unknown_scored_users: bool = True
 
 
 @dataclass
 class Dataset:
     """A consistent bundle of graph, scores, and (possibly partial) labels.
 
-    Immutable by convention after binding. ``discard_summary`` records what
-    the policy dropped, for the run report.
+    ``scores`` holds one row per graph node, in node order; a node without a
+    score record owns zero posts. Immutable by convention after binding.
+    ``discard_summary`` records what the policy dropped, for the run report.
     """
 
     graph: SocialGraph
     scores: ScoreTable
     labels: LabelSet
     discard_summary: dict = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if self.scores.users() != self.graph.ids:
+            raise InputError("dataset scores must hold one row per graph node, in node order")
 
     def labeled_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """(node_indices, labels) for labeled users, sorted by node index."""
@@ -385,11 +364,13 @@ def bind_dataset(
 ) -> Dataset:
     """Reconcile the three artifacts into one consistent dataset.
 
-    The resulting user universe is the graph's node set (possibly extended by
-    scored users retained as isolated nodes, possibly restricted to the
-    largest weakly connected component). Labeled users must exist in that
+    The resulting user universe is the graph's node set, either extended by
+    the scored users outside it as isolated nodes or restricted to the
+    largest weakly connected component. Labeled users must exist in that
     universe and have a score record unless the policy says otherwise. The
     returned dataset never contains users absent from every input.
+    ``scored_users`` in the summary counts the bound users with a score
+    record plus the accepted zero-post labeled users.
     """
     policy = policy or BindPolicy()
     summary: dict = {
@@ -398,47 +379,42 @@ def bind_dataset(
         "dropped_labels": 0,
     }
 
-    scored_outside = list(itertools.filterfalse(graph.id_index.__contains__, scores.users()))
     if policy.restrict_to_wcc:
         g = largest_wcc(graph)
         summary["dropped_by_wcc"] = graph.node_count - g.node_count
-    elif policy.keep_unknown_scored_users and scored_outside:
-        src, dst = graph.edge_arrays()
-        g = SocialGraph(
-            graph.ids + sorted(scored_outside),
-            src.astype(np.int64),
-            dst.astype(np.int64),
-        )
     else:
-        g = graph
-    kept = g.id_index
-    bound_scores = scores.restrict(kept)
-    summary["dropped_scored_users"] = len(scores) - len(bound_scores)
+        ids = graph.ids + sorted(set(scores.users()).difference(graph.ids))
+        g = graph if len(ids) == graph.node_count else SocialGraph(ids, *graph.edge_arrays())
+    rows = scores.rows_of(g.ids)
+    scored = int(np.count_nonzero(rows >= 0))
+    summary["dropped_scored_users"] = len(scores) - scored
 
+    kept = g.id_index
     bound_labels: dict[str, int] = {}
-    zero_post: list[str] = []
     for user, label in labels.items():
         if user not in graph.id_index and user not in scores:
             raise InputError(f"label for unknown user {user!r}")
         if user not in kept:
             summary["dropped_labels"] += 1
             continue
-        if user not in bound_scores:
+        if rows[kept[user]] < 0:
             if not policy.allow_zero_post_users:
                 raise InputError(
                     f"labeled user {user!r} has no score record "
                     "(set allow_zero_post_users to accept)"
                 )
-            zero_post.append(user)
+            scored += 1
         bound_labels[user] = label
-    bound_scores = bound_scores.with_users(zero_post)
 
     summary["users"] = g.node_count
     summary["edges"] = g.edge_count
-    summary["scored_users"] = len(bound_scores)
+    summary["scored_users"] = scored
     summary["labeled_users"] = len(bound_labels)
     return Dataset(
-        graph=g, scores=bound_scores, labels=LabelSet(bound_labels), discard_summary=summary
+        graph=g,
+        scores=ScoreTable(g.ids, *scores.segments(rows)),
+        labels=LabelSet(bound_labels),
+        discard_summary=summary,
     )
 
 

@@ -42,14 +42,15 @@ __all__ = [
 
 METRIC_NAMES = ("precision", "recall", "f1", "roc_auc")
 
+_MAX_ITERS = 10_000
+_GRAD_TOL = 1e-7
+
 
 @dataclass
 class LearnConfig:
     folds: int = 5
     seed: int = 0
     l2_lambda: float = 1.0
-    max_iters: int = 10_000
-    grad_tol: float = 1e-7
     decision_threshold: float = 0.5
     select_threshold: bool = False  # pick the threshold by train-fold F1
 
@@ -122,7 +123,8 @@ def train_logreg(
     """Fit the regularized logistic regression on the given rows.
 
     Deterministic: zero init, full-batch descent, Armijo backtracking, stop
-    when the gradient max-norm (weights and bias) drops below ``grad_tol``.
+    when the gradient max-norm (weights and bias) drops below ``_GRAD_TOL``
+    or after ``_MAX_ITERS`` steps.
     """
     config = config or LearnConfig()
     if isinstance(features, FeatureMatrix):
@@ -154,9 +156,9 @@ def train_logreg(
     history = [loss]
     steps = 0
 
-    while steps < config.max_iters:
+    while steps < _MAX_ITERS:
         gnorm = max(float(np.max(np.abs(gw))) if len(gw) else 0.0, abs(gb))
-        if gnorm < config.grad_tol:
+        if gnorm < _GRAD_TOL:
             break
 
         step = 1.0

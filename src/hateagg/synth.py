@@ -155,8 +155,9 @@ def generate(config: SynthConfig) -> Dataset:
 
     Labels cover every user unless ``n_labeled`` subsamples them; scores
     cover every user unless ``scores_only_labeled`` restricts generation to
-    the labeled subset (the large-scale regime, where unscored users count
-    zero posts). Byte-identical output for equal configs.
+    the labeled subset (the large-scale regime). The score table holds one
+    row per node, in node order, and unscored users own zero posts.
+    Byte-identical output for equal configs.
     """
     rng = np.random.Generator(np.random.Philox(config.seed))
     n = config.n_users
@@ -190,9 +191,10 @@ def generate(config: SynthConfig) -> Dataset:
         rng.beta(a_n, b_n, size=total_posts),
     )
 
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    table = ScoreTable([ids[node] for node in scored_idx.tolist()], offsets, values)
+    # one row per node; unscored nodes own zero posts
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    offsets[scored_idx + 1] = counts
+    table = ScoreTable(ids, np.cumsum(offsets), values)
 
     labels = LabelSet({ids[i]: int(truth[i]) for i in labeled_idx.tolist()})
     summary = {

@@ -124,6 +124,67 @@ def lexsort_csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, n
     return indptr, dst.astype(np.int32, copy=False)
 
 
+# -- binding -------------------------------------------------------------------
+
+
+def naive_bind(graph, scores, labels, restrict_to_wcc: bool, allow_zero_post_users: bool):
+    """(node ids, edges, posts per node, labels, discard summary) of a bind, by loops.
+
+    Without ``restrict_to_wcc`` the scored users outside the graph join it
+    as isolated nodes in sorted order. With it, the graph shrinks to its
+    largest weak component, ties going to the component that holds the
+    smallest node index. A labeled user must be a node or scored, and
+    without ``allow_zero_post_users`` also scored.
+    """
+    table = {user: [float(s) for s in posts] for user, posts in scores.items()}
+    graph_ids = list(graph.ids)
+    edges = list(graph.edges())
+    summary = {"dropped_by_wcc": 0, "dropped_scored_users": 0, "dropped_labels": 0}
+    if restrict_to_wcc:
+        if not graph_ids:
+            raise InputError("empty graph has no connected components")
+        parent = {u: u for u in graph_ids}
+
+        def find(u):
+            while parent[u] != u:
+                u = parent[u]
+            return u
+
+        for u, v in edges:
+            parent[find(u)] = find(v)
+        members: dict = {}
+        for u in graph_ids:  # components in the order of their first node
+            members.setdefault(find(u), []).append(u)
+        ids = max(members.values(), key=len)
+        summary["dropped_by_wcc"] = len(graph_ids) - len(ids)
+    else:
+        ids = graph_ids + sorted(u for u in table if u not in graph_ids)
+    edges = [(u, v) for u, v in edges if u in ids]
+    summary["dropped_scored_users"] = sum(1 for u in table if u not in ids)
+
+    bound_labels = {}
+    zero_post = 0
+    for user, label in labels.items():
+        if user not in graph_ids and user not in table:
+            raise InputError(f"label for unknown user {user!r}")
+        if user not in ids:
+            summary["dropped_labels"] += 1
+            continue
+        if user not in table:
+            if not allow_zero_post_users:
+                raise InputError(
+                    f"labeled user {user!r} has no score record "
+                    "(set allow_zero_post_users to accept)"
+                )
+            zero_post += 1
+        bound_labels[user] = label
+    summary["users"] = len(ids)
+    summary["edges"] = len(edges)
+    summary["scored_users"] = sum(1 for u in ids if u in table) + zero_post
+    summary["labeled_users"] = len(bound_labels)
+    return ids, edges, [table.get(u, []) for u in ids], bound_labels, summary
+
+
 # -- writers -------------------------------------------------------------------
 
 
@@ -190,9 +251,7 @@ def naive_softmax(v: list[float]) -> list[float]:
 
 
 def _user_scores(dataset: Dataset, user: str) -> list[float]:
-    if user in dataset.scores:
-        return [float(s) for s in dataset.scores.scores(user)]
-    return []
+    return [float(s) for s in dataset.scores.scores(user)]
 
 
 def naive_feature_matrix(dataset: Dataset, mode: str, config) -> np.ndarray:

@@ -196,12 +196,6 @@ class TestComponentStats:
         assert counts.n_components == 1
         assert counts.n_singletons == 0
 
-    def test_extra_isolated_ids_argument(self):
-        g = build_graph([("a", "b")])
-        counts = component_stats(g, isolated_ids=("x", "y"))
-        assert counts.n_components == 3
-        assert counts.n_singletons == 2
-
     def test_matches_union_find_on_random_graphs(self):
         rng = np.random.default_rng(17)
         for _ in range(10):

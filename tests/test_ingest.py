@@ -4,16 +4,19 @@ import io
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hateagg import ingest
 from hateagg import (
+    AggregationConfig,
     BindPolicy,
+    Dataset,
     InputError,
     LabelSet,
     ScoreTable,
     bind_dataset,
+    build_features,
     build_graph,
     parse_labels,
     parse_scores,
@@ -25,7 +28,9 @@ from hateagg import (
 
 from oracles import (
     lexsort_csr,
+    naive_bind,
     naive_build_graph,
+    naive_feature_matrix,
     naive_parse_scores,
     naive_read_edges,
     naive_write_edges,
@@ -88,12 +93,17 @@ class TestParseScores:
         with pytest.raises(InputError):
             table.scores("nobody")
 
-    def test_restrict_dropping_no_user_is_the_table_itself(self):
-        table = parse_scores("u1,p1,0.5\nu2,p1,0.25\n")
-        assert table.restrict(["u2", "u1", "other"]) is table
-        assert table.with_users([]) is table
-        kept = table.restrict(["u2"])
-        assert kept.users() == ["u2"] and list(kept.scores("u2")) == [0.25]
+    def test_offsets_must_start_at_zero_and_not_decrease(self):
+        with pytest.raises(InputError, match="offsets"):
+            ScoreTable(["a", "b"], [0, 2, 1], [0.9])
+        with pytest.raises(InputError, match="offsets"):
+            ScoreTable(["a"], [1, 1], [0.9])
+
+    def test_missing_row_owns_zero_posts(self):
+        table = parse_scores("u1,p1,0.5\nu2,p1,0.25\nu2,p2,0.75\n")
+        offsets, values = table.segments(table.rows_of(["u2", "nobody", "u1"]))
+        assert offsets.tolist() == [0, 2, 2, 3]
+        assert values.tolist() == [0.25, 0.75, 0.5]
 
 
 class TestParseLabels:
@@ -167,10 +177,18 @@ class TestBindDataset:
 
     def test_nothing_dropped_keeps_the_parsed_table(self):
         graph = build_graph([("a", "b")])
-        scores = parse_scores("a,p,0.9\nb,p,0.1\n")
+        scores = parse_scores("b,p,0.1\na,p,0.9\na,q,0.8\n")
         ds = bind_dataset(graph, scores, parse_labels("a,1\n"))
-        assert ds.scores is scores
+        assert ds.scores.users() == ds.graph.ids == ["a", "b"]
+        assert ds.scores.offsets.tolist() == [0, 2, 3]
+        assert ds.scores.values.tolist() == [0.9, 0.8, 0.1]
         assert ds.discard_summary["dropped_scored_users"] == 0
+
+    def test_misaligned_dataset_rejected(self):
+        graph = build_graph([("a", "b")])
+        for table in ({"b": [0.1], "a": [0.9]}, {"a": [0.9]}):
+            with pytest.raises(InputError, match="node order"):
+                Dataset(graph, ScoreTable.from_mapping(table), LabelSet())
 
     def test_never_invents_users(self):
         graph = build_graph([("a", "b")])
@@ -387,6 +405,59 @@ class TestBuildGraphMatchesOracle:
             build_graph(pairs)
         assert str(got.value) == str(want.value)
         assert message in str(got.value)
+
+
+NODES = ["a", "b", "c", "d", "e", "f"]
+OUTSIDERS = ["x", "y"]  # scored, but in no edge
+UNKNOWN = ["z"]  # in no input
+
+
+@st.composite
+def bind_inputs(draw):
+    """Graph, score table, labels and policy for a bind.
+
+    Scored users may sit outside the graph or own zero posts; labels may
+    name users outside the graph, unscored users or unknown users.
+    """
+    pair = st.tuples(st.sampled_from(NODES), st.sampled_from(NODES)).filter(
+        lambda p: p[0] != p[1]
+    )
+    graph = build_graph(draw(st.lists(pair, min_size=1, max_size=10)))
+    scored = draw(st.lists(st.sampled_from(NODES + OUTSIDERS), unique=True))
+    posts = st.lists(st.floats(0.0, 1.0), max_size=4)
+    scores = ScoreTable.from_mapping({u: draw(posts) for u in scored})
+    labels = draw(
+        st.dictionaries(st.sampled_from(NODES + OUTSIDERS + UNKNOWN), st.integers(0, 1), max_size=4)
+    )
+    policy = BindPolicy(draw(st.booleans()), draw(st.booleans()))
+    return graph, scores, LabelSet(labels), policy
+
+
+class TestBindMatchesOracle:
+    @settings(max_examples=200)
+    @given(bind_inputs())
+    def test_summary_posts_and_features(self, inputs):
+        graph, scores, labels, policy = inputs
+        try:
+            ids, edges, posts, bound_labels, summary = naive_bind(
+                graph, scores, labels, policy.restrict_to_wcc, policy.allow_zero_post_users
+            )
+        except InputError as exc:
+            with pytest.raises(InputError) as got:
+                bind_dataset(graph, scores, labels, policy)
+            assert str(got.value) == str(exc)
+            return
+        ds = bind_dataset(graph, scores, labels, policy)
+        assert list(ds.discard_summary.items()) == list(summary.items())
+        assert ds.graph.ids == ids
+        assert sorted(ds.graph.edges()) == sorted(edges)
+        assert ds.scores.users() == ds.graph.ids
+        assert [ds.scores.scores(u).tolist() for u in ds.graph.ids] == posts
+        assert dict(ds.labels.items()) == bound_labels
+        config = AggregationConfig(tau_t=0.5, tau_fixed=1, k_bins=3)
+        for mode in ("fixed", "multimodal"):
+            got = build_features(ds, mode, config).values
+            assert np.max(np.abs(got - naive_feature_matrix(ds, mode, config))) < 1e-12
 
 
 class TestWritersMatchOracles:

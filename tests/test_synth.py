@@ -234,7 +234,7 @@ class TestGenerate:
             if uid in labeled:
                 assert ds.scores.n_posts(uid) > 0
             else:
-                assert uid not in ds.scores
+                assert ds.scores.n_posts(uid) == 0
         assert ds.discard_summary["scored_users"] == 15
 
     def test_clean_regime_is_sweepable_to_high_f1(self):
