@@ -37,7 +37,7 @@ from .ingest import (
     write_scores,
 )
 from .learn import LearnConfig, cross_validate, threshold_sweep, train_logreg
-from .serialize import csv_line, dump_json, fmt_float, write_rows
+from .serialize import csv_line, dump_json, json_line, write_rows
 from .synth import SynthConfig, generate, planted_labels, user_ids
 
 SWEEP_HEADER = "threshold,precision,recall,f1,roc_auc"
@@ -91,26 +91,15 @@ def _write_config_sidecar(out: str, config: dict) -> None:
         _write_text(out + ".config.json", dump_json(config))
 
 
-def _load_dataset(args, need_labels: bool = False) -> Dataset:
+def _load_dataset(args) -> Dataset:
+    # argparse enforces --labels where a subcommand requires it
     graph = build_graph(_parse_file(args.edges, read_edges, "edge"))
     scores = _parse_file(args.scores, parse_scores, "score")
-    if getattr(args, "labels", None):
-        labels = _parse_file(args.labels, parse_labels, "label")
-    elif need_labels:
-        raise InputError("this subcommand requires --labels")
-    else:
-        labels = LabelSet()
-    policy = BindPolicy(
-        restrict_to_wcc=getattr(args, "wcc_only", False),
-        allow_zero_post_users=getattr(args, "allow_zero_posts", False),
-    )
+    labels = _parse_file(args.labels, parse_labels, "label") if args.labels else LabelSet()
+    policy = BindPolicy(restrict_to_wcc=args.wcc_only, allow_zero_post_users=args.allow_zero_posts)
     dataset = bind_dataset(graph, scores, labels, policy)
-    summary_line = (
-        "{"
-        + ", ".join(f'"{k}": {v}' for k, v in dataset.discard_summary.items())
-        + "}"
-    )
-    if getattr(args, "report", None):
+    summary_line = json_line(dataset.discard_summary)
+    if args.report:
         _write_text(args.report, summary_line + "\n")
     else:
         print(summary_line, file=sys.stderr)
@@ -193,7 +182,7 @@ def _feature_echo(args, agg: AggregationConfig) -> dict:
 
 
 def cmd_train(args) -> int:
-    dataset = _load_dataset(args, need_labels=True)
+    dataset = _load_dataset(args)
     agg = _agg_config(args)
     fm = build_features(dataset, args.mode, agg)
     node_idx, y = dataset.labeled_indices()
@@ -233,7 +222,7 @@ def _parse_thresholds(text: str) -> list[int]:
 
 
 def cmd_eval(args) -> int:
-    dataset = _load_dataset(args, need_labels=True)
+    dataset = _load_dataset(args)
     agg = _agg_config(args)
     if args.sweep is not None:
         if args.mode != "fixed":
@@ -263,7 +252,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    dataset = _load_dataset(args, need_labels=True)
+    dataset = _load_dataset(args)
     thresholds = _parse_thresholds(args.thresholds)
     text = _sweep_rows(dataset, thresholds, args.tau_t)
     _write_text(args.out, text)
@@ -292,13 +281,8 @@ def cmd_diffuse(args) -> int:
     with _output(args.out) as fh:
         fh.write("user_id,belief\n")
         write_rows(fh, [dataset.graph.ids], beliefs.values[:, None])
-    log_lines = [
-        f'{{"iteration": {entry["iteration"]}, '
-        f'"max_change": {fmt_float(entry["max_change"])}}}'
-        for entry in log
-    ]
     if args.out != "-":
-        _write_text(args.out + ".convergence.jsonl", "\n".join(log_lines) + "\n")
+        _write_text(args.out + ".convergence.jsonl", "\n".join(map(json_line, log)) + "\n")
     _write_config_sidecar(
         args.out,
         {
@@ -360,19 +344,15 @@ def _parse_beta(text: str) -> list[float]:
 # -- parser assembly -----------------------------------------------------------
 
 
-def _add_input_flags(p, scores: bool = True, labels: str = "no") -> None:
+def _add_input_flags(p, labels: str) -> None:
     p.add_argument("--edges", required=True, help="edge CSV: src,dst per line")
-    if scores:
-        p.add_argument(
-            "--scores", required=True, help="score CSV: user_id,post_id,score"
-        )
-    if labels != "no":
-        p.add_argument(
-            "--labels",
-            required=(labels == "required"),
-            default=None,
-            help="label CSV: user_id,label with label in {0,1}",
-        )
+    p.add_argument("--scores", required=True, help="score CSV: user_id,post_id,score")
+    p.add_argument(
+        "--labels",
+        required=(labels == "required"),
+        default=None,
+        help="label CSV: user_id,label with label in {0,1}",
+    )
     p.add_argument(
         "--wcc-only",
         action="store_true",

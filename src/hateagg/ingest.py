@@ -257,7 +257,9 @@ class LabelSet:
     """user_id -> {0, 1}; 1 marks a hate-monger."""
 
     def __init__(self, labels: dict[str, int] | None = None) -> None:
-        self._labels: dict[str, int] = dict(labels) if labels else {}
+        self._labels: dict[str, int] = {}
+        for user, label in (labels or {}).items():
+            self.set(user, label)
 
     def set(self, user: str, label: int) -> None:
         if label not in (0, 1):
@@ -345,6 +347,9 @@ class Dataset:
     def __post_init__(self) -> None:
         if self.scores.users() != self.graph.ids:
             raise InputError("dataset scores must hold one row per graph node, in node order")
+        outside = [u for u in self.labels.users() if u not in self.graph.id_index]
+        if outside:
+            raise InputError(f"label for user {outside[0]!r} outside the dataset graph")
 
     def labeled_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """(node_indices, labels) for labeled users, sorted by node index."""

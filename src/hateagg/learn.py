@@ -2,10 +2,12 @@
 
 The classifier is deliberately dependency-free: full-batch gradient descent
 with backtracking (Armijo) line search from a zero initialization, so a given
-training set always produces the same model. Features are standardized with
-statistics fitted on the training rows only; a zero-variance column gets
-std 1, which makes its standardized values constant zero and freezes its
-weight at the origin.
+training set always produces the same model. Each line-search trial is one
+objective-and-gradient evaluation, and the trial that passes the Armijo test
+carries its loss and gradient over to the next step. Features are
+standardized with statistics fitted on the training rows only; a
+zero-variance column gets std 1, which makes its standardized values
+constant zero and freezes its weight at the origin.
 
 The loss is the mean negative log-likelihood plus an L2 penalty on the
 weights (never the bias):
@@ -16,7 +18,7 @@ weights (never the bias):
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -90,11 +92,6 @@ class LogRegModel:
         }
 
 
-def _nll_mean(z: np.ndarray, y: np.ndarray) -> float:
-    # log(1 + e^z) - y z, evaluated stably
-    return float(np.mean(np.logaddexp(0.0, z) - y * z))
-
-
 def loss_and_gradient(
     X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, lam: float
 ) -> tuple[float, np.ndarray, float]:
@@ -107,7 +104,8 @@ def loss_and_gradient(
 
     z = X @ w + b
     n = len(y)
-    loss = _nll_mean(z, y) + 0.5 * lam * float(w @ w)
+    # log(1 + e^z) - y z, evaluated stably
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * lam * float(w @ w)
     resid = (expit(z) - y) / n
     gw = X.T @ resid + lam * w
     gb = float(np.sum(resid))
@@ -124,7 +122,10 @@ def train_logreg(
 
     Deterministic: zero init, full-batch descent, Armijo backtracking, stop
     when the gradient max-norm (weights and bias) drops below ``_GRAD_TOL``
-    or after ``_MAX_ITERS`` steps.
+    or after ``_MAX_ITERS`` steps. Each backtracking trial calls
+    :func:`loss_and_gradient` once; the loss and gradient of the trial that
+    passes become the next iterate's, so a step costs one evaluation per
+    trial.
     """
     config = config or LearnConfig()
     if isinstance(features, FeatureMatrix):
@@ -163,20 +164,17 @@ def train_logreg(
 
         step = 1.0
         g2 = float(gw @ gw) + gb * gb
-        accepted = False
         for _ in range(60):
             w_new = w - step * gw
             b_new = b - step * gb
-            z_new = Xs @ w_new + b_new
-            loss_new = _nll_mean(z_new, y) + 0.5 * lam * float(w_new @ w_new)
-            if loss_new <= loss - 1e-4 * step * g2:
-                accepted = True
+            trial = loss_and_gradient(Xs, y, w_new, b_new, lam)
+            if trial[0] <= loss - 1e-4 * step * g2:
                 break
             step *= 0.5
-        if not accepted:
+        else:
             break  # step underflow: gradient no longer improves the loss
         w, b = w_new, b_new
-        loss, gw, gb = loss_and_gradient(Xs, y, w, b, lam)
+        loss, gw, gb = trial
         history.append(loss)
         steps += 1
 
@@ -302,23 +300,10 @@ class EvalReport:
     std: dict
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "folds": self.folds,
-            "mean": self.mean,
-            "std": self.std,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return dump_json(self.to_dict())
-
-
-def _summarize(config: dict, fold_metrics: list[dict]) -> EvalReport:
-    mean = {
-        m: float(np.mean([f[m] for f in fold_metrics])) for m in METRIC_NAMES
-    }
-    std = {m: float(np.std([f[m] for f in fold_metrics])) for m in METRIC_NAMES}
-    return EvalReport(config=config, folds=fold_metrics, mean=mean, std=std)
 
 
 def _best_f1_threshold(y: np.ndarray, scores: np.ndarray) -> float:
@@ -357,6 +342,51 @@ def _train_index(n: int, test_idx: np.ndarray) -> np.ndarray:
     return np.flatnonzero(train_mask)
 
 
+def _stratified_folds(y: np.ndarray, config: LearnConfig) -> list[np.ndarray]:
+    if len(y) < 2 * config.folds:
+        raise DegenerateDataError(
+            f"need at least {2 * config.folds} labeled users for {config.folds} folds"
+        )
+    return stratified_kfold(y, config.folds, config.seed)
+
+
+def _run_folds(eval_fold, folds) -> list[dict]:
+    # one named call for every fold loop, so a tracer can time each fold
+    return [eval_fold(f) for f in folds]
+
+
+def _cv_report(
+    y: np.ndarray,
+    folds: list[np.ndarray],
+    config: LearnConfig,
+    run_config: dict,
+    fit_fold: Callable[[np.ndarray], Callable[[np.ndarray], np.ndarray]],
+    select: bool,
+) -> EvalReport:
+    """Per-fold metrics with their mean and population std.
+
+    ``fit_fold(train_idx)`` returns a scorer from row indices to scores. The
+    cutoff is the train-fold F1 optimum when ``select`` is true, else
+    ``config.decision_threshold``.
+    """
+
+    def eval_fold(test_idx: np.ndarray) -> dict:
+        train_idx = _train_index(len(y), test_idx)
+        score = fit_fold(train_idx)
+        if select:
+            thr = _best_f1_threshold(y[train_idx], score(train_idx))
+        else:
+            thr = config.decision_threshold
+        scores = score(test_idx)
+        pred = (scores >= thr).astype(np.int64)
+        return metrics(y[test_idx], pred, scores)
+
+    fold_metrics = _run_folds(eval_fold, folds)
+    mean = {m: float(np.mean([f[m] for f in fold_metrics])) for m in METRIC_NAMES}
+    std = {m: float(np.std([f[m] for f in fold_metrics])) for m in METRIC_NAMES}
+    return EvalReport(config=run_config, folds=fold_metrics, mean=mean, std=std)
+
+
 def cross_validate_features(
     X: np.ndarray,
     y: np.ndarray,
@@ -366,61 +396,15 @@ def cross_validate_features(
 ) -> EvalReport:
     """Stratified k-fold evaluation of the classifier on raw feature rows."""
     y = np.asarray(y, dtype=np.int64)
-    if len(y) < 2 * config.folds:
-        raise DegenerateDataError(
-            f"need at least {2 * config.folds} labeled users for {config.folds} folds"
-        )
-    folds = stratified_kfold(y, config.folds, config.seed)
+    folds = _stratified_folds(y, config)
 
-    def eval_fold(test_idx: np.ndarray) -> dict:
-        train_idx = _train_index(len(y), test_idx)
+    def fit_fold(train_idx: np.ndarray):
         model = train_logreg(X[train_idx], y[train_idx], config, schema=schema)
-        if config.select_threshold:
-            thr = _best_f1_threshold(y[train_idx], predict_proba(model, X[train_idx]))
-        else:
-            thr = config.decision_threshold
-        scores = np.asarray(predict_proba(model, X[test_idx]))
-        pred = (scores >= thr).astype(np.int64)
-        return metrics(y[test_idx], pred, scores)
+        return lambda rows: predict_proba(model, X[rows])
 
-    return _summarize(run_config or {}, _run_folds(eval_fold, folds))
-
-
-def _run_folds(eval_fold, folds) -> list[dict]:
-    # one named call for every fold loop, so a tracer can time each fold
-    return [eval_fold(f) for f in folds]
-
-
-def _degroot_report(
-    dataset: Dataset,
-    agg: AggregationConfig,
-    config: LearnConfig,
-    diffusion: DiffusionConfig,
-    run_config: dict,
-) -> EvalReport:
-    node_idx, y = dataset.labeled_indices()
-    if len(y) < 2 * config.folds:
-        raise DegenerateDataError(
-            f"need at least {2 * config.folds} labeled users for {config.folds} folds"
-        )
-    beliefs, _ = degroot_run(
-        dataset.graph,
-        degroot_init(dataset, agg, init=diffusion.init),
-        max_iters=diffusion.max_iters,
-        tol=diffusion.tol,
-        direction=diffusion.direction,
+    return _cv_report(
+        y, folds, config, run_config or {}, fit_fold, config.select_threshold
     )
-    scores = beliefs.values[node_idx]
-    folds = stratified_kfold(y, config.folds, config.seed)
-
-    def eval_fold(test_idx: np.ndarray) -> dict:
-        # no trained model here: the cutoff is swept on the train fold
-        train_idx = _train_index(len(y), test_idx)
-        thr = _best_f1_threshold(y[train_idx], scores[train_idx])
-        pred = (scores[test_idx] >= thr).astype(np.int64)
-        return metrics(y[test_idx], pred, scores[test_idx])
-
-    return _summarize(run_config, _run_folds(eval_fold, folds))
 
 
 def cross_validate(
@@ -440,19 +424,24 @@ def cross_validate(
     """
     agg = agg or AggregationConfig()
     config = config or LearnConfig()
-    run_config = {
-        "mode": mode,
-        **asdict(agg),
-        "folds": config.folds,
-        "seed": config.seed,
-        "l2_lambda": config.l2_lambda,
-        "decision_threshold": config.decision_threshold,
-        "select_threshold": config.select_threshold,
-    }
+    run_config = {"mode": mode, **asdict(agg), **asdict(config)}
     if mode == "degroot":
         diffusion = diffusion or DiffusionConfig()
         run_config.update(asdict(diffusion), threshold_selection="train_fold_f1")
-        return _degroot_report(dataset, agg, config, diffusion, run_config)
+        node_idx, y = dataset.labeled_indices()
+        folds = _stratified_folds(y, config)  # raises before any diffusion step
+        beliefs, _ = degroot_run(
+            dataset.graph,
+            degroot_init(dataset, agg, init=diffusion.init),
+            max_iters=diffusion.max_iters,
+            tol=diffusion.tol,
+            direction=diffusion.direction,
+        )
+        scores = beliefs.values[node_idx]
+        # no trained model: every fold scores the same beliefs
+        return _cv_report(
+            y, folds, config, run_config, lambda _: scores.__getitem__, select=True
+        )
 
     fm = build_features(dataset, mode, agg)
     node_idx, y = dataset.labeled_indices()

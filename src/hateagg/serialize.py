@@ -83,6 +83,11 @@ def render_json(obj: Any, indent: int = 0) -> str:
     raise TypeError(f"cannot render {type(obj).__name__} as JSON")
 
 
+def json_line(obj: dict) -> str:
+    """One-line JSON object, each value rendered by :func:`render_json`."""
+    return "{" + ", ".join(f'"{_escape(str(k))}": {render_json(v)}' for k, v in obj.items()) + "}"
+
+
 def dump_json(obj: Any) -> str:
     """Full JSON document (trailing newline included)."""
     return render_json(obj) + "\n"

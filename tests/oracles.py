@@ -441,6 +441,47 @@ def naive_best_f1_threshold(y: np.ndarray, scores: np.ndarray) -> float:
     return best_t
 
 
+def naive_train_logreg(X: np.ndarray, y: np.ndarray, lam: float):
+    """Descent loop that re-evaluates the accepted point: two objective passes per step.
+
+    Returns ``(weights, bias, n_iters, loss_history)``.
+    """
+    from hateagg.learn import _GRAD_TOL, _MAX_ITERS, loss_and_gradient
+
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    std = X.std(axis=0)
+    Xs = (X - X.mean(axis=0)) / np.where(std == 0.0, 1.0, std)
+    w = np.zeros(X.shape[1])
+    b = 0.0
+    loss, gw, gb = loss_and_gradient(Xs, y, w, b, lam)
+    history = [loss]
+    steps = 0
+    while steps < _MAX_ITERS:
+        if max(float(np.max(np.abs(gw))) if len(gw) else 0.0, abs(gb)) < _GRAD_TOL:
+            break
+        step = 1.0
+        g2 = float(gw @ gw) + gb * gb
+        accepted = False
+        for _ in range(60):
+            w_new = w - step * gw
+            b_new = b - step * gb
+            z_new = Xs @ w_new + b_new
+            loss_new = float(np.mean(np.logaddexp(0.0, z_new) - y * z_new))
+            loss_new += 0.5 * lam * float(w_new @ w_new)
+            if loss_new <= loss - 1e-4 * step * g2:
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        w, b = w_new, b_new
+        loss, gw, gb = loss_and_gradient(Xs, y, w, b, lam)
+        history.append(loss)
+        steps += 1
+    return w, b, steps, history
+
+
 def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     g = np.zeros_like(x)
     for i in range(len(x)):

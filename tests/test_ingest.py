@@ -125,6 +125,10 @@ class TestParseLabels:
         with pytest.raises(InputError):
             parse_labels("u1,2\n")
 
+    def test_constructor_rejects_label_outside_binary(self):
+        with pytest.raises(InputError, match="0 or 1"):
+            LabelSet({"a": 2})
+
 
 class TestBindDataset:
     def test_basic_bind(self):
@@ -189,6 +193,12 @@ class TestBindDataset:
         for table in ({"b": [0.1], "a": [0.9]}, {"a": [0.9]}):
             with pytest.raises(InputError, match="node order"):
                 Dataset(graph, ScoreTable.from_mapping(table), LabelSet())
+
+    def test_labels_outside_the_graph_rejected(self):
+        graph = build_graph([("a", "b")])
+        table = ScoreTable.from_mapping({"a": [0.9], "b": [0.1]})
+        with pytest.raises(InputError, match="zzz"):
+            Dataset(graph, table, LabelSet({"a": 1, "zzz": 0}))
 
     def test_never_invents_users(self):
         graph = build_graph([("a", "b")])

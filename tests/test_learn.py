@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,10 +25,17 @@ from hateagg import (
     threshold_sweep,
     train_logreg,
 )
+from hateagg import learn
 from hateagg.learn import _average_ranks, _best_f1_threshold
 
 from conftest import make_dataset, random_dataset
-from oracles import brute_auc, fd_gradient, naive_best_f1_threshold, prf1
+from oracles import (
+    brute_auc,
+    fd_gradient,
+    naive_best_f1_threshold,
+    naive_train_logreg,
+    prf1,
+)
 
 
 def labeled_dataset(rng, folds=5, **kwargs):
@@ -116,6 +124,52 @@ class TestTrainLogreg:
             "decision_threshold", "n_iters",
         }
         assert isinstance(d["weights"][0], float)
+
+
+def assert_fit_matches_oracle(X, y, lam):
+    model = train_logreg(X, y, LearnConfig(l2_lambda=lam))
+    w, b, n_iters, history = naive_train_logreg(X, y, lam)
+    assert model.weights.tobytes() == w.tobytes()
+    assert model.bias == b
+    assert model.n_iters == n_iters
+    assert model.loss_history == history
+
+
+class TestTrainMatchesTwoPassLoop:
+    """The carried-over trial gives the same fit as re-evaluating the accepted point."""
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.integers(0, 1),
+                st.lists(st.floats(-4, 4, allow_nan=False), min_size=2, max_size=2),
+            ),
+            min_size=4,
+            max_size=12,
+        ),
+        constant=st.booleans(),
+        lam=st.sampled_from([0.0, 0.3, 1.0, 25.0]),
+    )
+    @example(
+        rows=[(0, [0.0, 1.0]), (1, [1.0, 0.0]), (0, [0.5, 0.5]), (1, [2.0, 1.0])],
+        constant=True,
+        lam=0.0,
+    )
+    def test_weights_bias_iterations_and_history_equal(self, rows, constant, lam):
+        y = np.array([label for label, _ in rows])
+        if y.min() == y.max():
+            y[0] = 1 - y[0]
+        X = np.array([x for _, x in rows])
+        if constant:
+            X = np.column_stack([X, np.full(len(X), 3.0)])
+        # a low step cap keeps separable l2_lambda=0 fits short; the oracle reads it too
+        with mock.patch.object(learn, "_MAX_ITERS", 300):
+            assert_fit_matches_oracle(X, y, lam)
+
+    def test_separable_unpenalized_fit_runs_to_the_cap_identically(self):
+        X = np.array([[-2.0, 1.0], [-1.0, 1.0], [1.0, 1.0], [2.0, 1.0]])
+        y = np.array([0, 0, 1, 1])
+        assert_fit_matches_oracle(X, y, 0.0)
 
 
 class TestLossAndGradient:
@@ -426,6 +480,20 @@ class TestCrossValidation:
         report = cross_validate(ds, "degroot", diffusion=DiffusionConfig())
         assert report.config["threshold_selection"] == "train_fold_f1"
         assert set(report.mean) == set(("precision", "recall", "f1", "roc_auc"))
+
+    def test_degroot_fold_count_checked_before_diffusion(self, monkeypatch):
+        ds = make_dataset(
+            [("a", "b"), ("b", "c"), ("c", "d")],
+            scores={u: [0.5] for u in "abcd"},
+            labels={"a": 1, "b": 0, "c": 1, "d": 0},
+        )
+
+        def no_diffusion(*args, **kwargs):
+            raise AssertionError("degroot_run called before the fold-count check")
+
+        monkeypatch.setattr(learn, "degroot_run", no_diffusion)
+        with pytest.raises(DegenerateDataError, match="labeled users"):
+            cross_validate(ds, "degroot")
 
     def test_multimodal_on_random_dataset_runs(self):
         rng = np.random.default_rng(131)
