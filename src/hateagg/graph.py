@@ -92,10 +92,13 @@ class EdgeList:
     """Directed edges as interned codes, one entry per input edge, in input order.
 
     Edge ``k`` runs from ``ids[src[k]]`` to ``ids[dst[k]]``; ids are numbered
-    in first-seen order. Duplicates are kept; the graph collapses them.
+    in first-seen order, and ``index`` maps each id to its code (the graph
+    built from the list adopts it). Duplicates are kept; the graph collapses
+    them.
     """
 
     ids: list
+    index: dict
     src: np.ndarray
     dst: np.ndarray
 
@@ -117,11 +120,12 @@ class EdgeList:
         if not well_formed:
             _raise_bad_pair(pairs)
         ids: list = []
-        codes = intern_ids(list(itertools.chain.from_iterable(pairs)), {}, ids)
+        index: dict = {}
+        codes = intern_ids(list(itertools.chain.from_iterable(pairs)), index, ids)
         src, dst = codes[0::2], codes[1::2]
         if not all(ids) or np.any(src == dst):
             _raise_bad_pair(pairs)
-        return cls(ids, src, dst)
+        return cls(ids, index, src, dst)
 
 
 def _raise_bad_pair(pairs: list) -> None:
@@ -146,12 +150,16 @@ class SocialGraph:
         Node index -> external user id (the id_map, forward direction).
     id_index : dict[str, int]
         External user id -> node index (the id_map, reverse direction).
+        A caller that already holds this map for ``ids`` passes it as
+        ``index``; it is adopted, not copied.
     """
 
-    def __init__(self, ids: list[str], src: np.ndarray, dst: np.ndarray):
+    def __init__(
+        self, ids: list[str], src: np.ndarray, dst: np.ndarray, index: dict | None = None
+    ):
         n = len(ids)
         self.ids = ids
-        self.id_index = {u: i for i, u in enumerate(ids)}
+        self.id_index = dict(zip(ids, range(n))) if index is None else index
         self.out_indptr, self.out_indices = _csr(src, dst, n)
         self.in_indptr, self.in_indices = _csr(dst, src, n)
         self._und: tuple[np.ndarray, np.ndarray] | None = None
@@ -315,6 +323,18 @@ class GraphStats:
         }
 
 
+def extend_ids(ids: list, index: dict, extra: Iterable[str]) -> tuple[list, dict]:
+    """``(ids, index)`` with the ``extra`` ids not in ``index`` appended, sorted.
+
+    Sorting keeps node indexing independent of set iteration order. The
+    inputs are returned as they are when nothing is new, and never changed.
+    """
+    new = sorted(set(extra).difference(index))
+    if not new:
+        return ids, index
+    return ids + new, index | dict(zip(new, itertools.count(len(ids))))
+
+
 def build_graph(
     edge_pairs: Iterable[tuple[str, str]],
     isolated_ids: Iterable[str] = (),
@@ -332,8 +352,8 @@ def build_graph(
     isolated = set(isolated_ids)
     if "" in isolated:
         raise InputError("isolated id must be nonempty")
-    ids = edges.ids + sorted(isolated.difference(edges.ids)) if isolated else edges.ids
-    return SocialGraph(ids, edges.src, edges.dst)
+    ids, index = extend_ids(edges.ids, edges.index, isolated)
+    return SocialGraph(ids, edges.src, edges.dst, index)
 
 
 def _component_roots(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:

@@ -22,7 +22,7 @@ from typing import IO, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import InputError
-from .graph import EdgeList, SocialGraph, intern_ids, largest_wcc
+from .graph import EdgeList, SocialGraph, extend_ids, intern_ids, largest_wcc
 from .serialize import write_rows
 
 __all__ = [
@@ -104,7 +104,7 @@ def read_edges(stream: IO[str] | str) -> EdgeList:
         srcs.append(src)
         dsts.append(dst)
     empty = np.zeros(0, dtype=np.int64)
-    return EdgeList(ids, np.concatenate([empty, *srcs]), np.concatenate([empty, *dsts]))
+    return EdgeList(ids, index, np.concatenate([empty, *srcs]), np.concatenate([empty, *dsts]))
 
 
 def _rescan_edges(first: int, raw: list[str]) -> None:
@@ -128,12 +128,19 @@ class ScoreTable:
 
     User ``users()[j]`` owns ``values[offsets[j]:offsets[j + 1]]``. Users
     appear in first-seen order, scores keep file order within a user, and a
-    user may own zero posts.
+    user may own zero posts. A caller that already holds the user -> row map
+    passes it as ``index``; it is adopted, not copied.
     """
 
-    def __init__(self, users: list[str], offsets: np.ndarray, values: np.ndarray) -> None:
+    def __init__(
+        self,
+        users: list[str],
+        offsets: np.ndarray,
+        values: np.ndarray,
+        index: dict | None = None,
+    ) -> None:
         self._users = list(users)
-        self._row = {u: j for j, u in enumerate(self._users)}
+        self._row = dict(zip(self._users, range(len(self._users)))) if index is None else index
         if len(self._row) != len(self._users):
             raise InputError("score table users must be distinct")
         self.offsets = np.asarray(offsets, dtype=np.int64)
@@ -222,7 +229,7 @@ def parse_scores(stream: IO[str] | str) -> ScoreTable:
     order = np.argsort(code, kind="stable")
     offsets = np.zeros(len(users) + 1, dtype=np.int64)
     np.cumsum(np.bincount(code, minlength=len(users)), out=offsets[1:])
-    return ScoreTable(users, offsets, np.concatenate([np.zeros(0), *values])[order])
+    return ScoreTable(users, offsets, np.concatenate([np.zeros(0), *values])[order], index)
 
 
 def _rescan_scores(first: int, raw: list[str]) -> None:
@@ -263,7 +270,7 @@ class LabelSet:
 
     def set(self, user: str, label: int) -> None:
         if label not in (0, 1):
-            raise InputError(f"label for {user!r} must be 0 or 1, got {label}")
+            raise InputError(f"label must be 0 or 1, got {label}")
         existing = self._labels.get(user)
         if existing is not None and existing != label:
             raise InputError(
@@ -303,8 +310,6 @@ def parse_labels(stream: IO[str] | str) -> LabelSet:
             label = int(parts[1])
         except ValueError:
             raise InputError(f"labels line {lineno}: non-integer label {parts[1]!r}")
-        if label not in (0, 1):
-            raise InputError(f"labels line {lineno}: label must be 0 or 1, got {label}")
         try:
             labels.set(user, label)
         except InputError as exc:
@@ -388,8 +393,8 @@ def bind_dataset(
         g = largest_wcc(graph)
         summary["dropped_by_wcc"] = graph.node_count - g.node_count
     else:
-        ids = graph.ids + sorted(set(scores.users()).difference(graph.ids))
-        g = graph if len(ids) == graph.node_count else SocialGraph(ids, *graph.edge_arrays())
+        ids, index = extend_ids(graph.ids, graph.id_index, scores.users())
+        g = graph if ids is graph.ids else SocialGraph(ids, *graph.edge_arrays(), index)
     rows = scores.rows_of(g.ids)
     scored = int(np.count_nonzero(rows >= 0))
     summary["dropped_scored_users"] = len(scores) - scored
@@ -417,7 +422,7 @@ def bind_dataset(
     summary["labeled_users"] = len(bound_labels)
     return Dataset(
         graph=g,
-        scores=ScoreTable(g.ids, *scores.segments(rows)),
+        scores=ScoreTable(g.ids, *scores.segments(rows), g.id_index),
         labels=LabelSet(bound_labels),
         discard_summary=summary,
     )

@@ -106,6 +106,23 @@ def csv_line(values: list[Any] | tuple[Any, ...]) -> str:
     return ",".join(csv_cell(v) for v in values)
 
 
+def _rendered(block: np.ndarray) -> np.ndarray:
+    """Object array of the cells of ``block`` as :func:`fmt_float` renders them.
+
+    Each distinct double is rendered once, then gathered per cell. Doubles
+    are told apart by bit pattern, so ``0.0`` and ``-0.0`` stay apart.
+    """
+    block = np.ascontiguousarray(block, dtype=np.float64)
+    bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+    distinct = bits.view(np.float64)
+    text = list(map("%.17g".__mod__, distinct.tolist()))
+    # %.17g spells the specials nan/inf; take fmt_float's spelling
+    for i in np.flatnonzero(~np.isfinite(distinct)).tolist():
+        text[i] = fmt_float(distinct[i])
+    # numpy 1.x returns the inverse flat, 2.x in the input's shape
+    return np.array(text, dtype=object)[inverse.reshape(block.shape)]
+
+
 def write_rows(
     stream: IO[str],
     keys: Sequence[Sequence[Any]],
@@ -119,21 +136,20 @@ def write_rows(
     ``(n_rows, k)`` array whose cells are rendered as by :func:`fmt_float`,
     each after a comma. Every row ends in a newline, so a row reads
     ``key_fmt % key_cells`` followed by ``"," + fmt_float(v)`` per value.
+
+    A block's rows are one format call over its cells, and each distinct
+    double of a block is rendered once: feature tables built from counts
+    repeat a few hundred values over thousands of rows.
     """
     n_rows = len(keys[0])
-    if values is None:
-        values = np.zeros((n_rows, 0))
-    fmt = key_fmt + ",%.17g" * values.shape[1] + "\n"
     n_keys = len(keys)
+    k = 0 if values is None else values.shape[1]
+    row_fmt = key_fmt + ",%s" * k + "\n"
     for start in range(0, n_rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_rows)
-        block = np.asarray(values[start:stop], dtype=np.float64)
-        cols = [col[start:stop] for col in keys]
-        cols = [col.tolist() if isinstance(col, np.ndarray) else col for col in cols]
-        rows = list(zip(*cols, *block.T.tolist()))
-        lines = list(map(fmt.__mod__, rows))
-        # %.17g spells the specials nan/inf; those rows take fmt_float's spelling
-        for r in np.flatnonzero(~np.isfinite(block).all(axis=1)).tolist():
-            head, cells = rows[r][:n_keys], rows[r][n_keys:]
-            lines[r] = key_fmt % head + "".join("," + fmt_float(v) for v in cells) + "\n"
-        stream.write("".join(lines))
+        cells = np.empty((stop - start, n_keys + k), dtype=object)
+        for j, col in enumerate(keys):
+            cells[:, j] = col[start:stop]
+        if k:
+            cells[:, n_keys:] = _rendered(values[start:stop])
+        stream.write(row_fmt * (stop - start) % tuple(cells.ravel().tolist()))

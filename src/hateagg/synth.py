@@ -194,7 +194,7 @@ def generate(config: SynthConfig) -> Dataset:
     # one row per node; unscored nodes own zero posts
     offsets = np.zeros(n + 1, dtype=np.int64)
     offsets[scored_idx + 1] = counts
-    table = ScoreTable(ids, np.cumsum(offsets), values)
+    table = ScoreTable(ids, np.cumsum(offsets), values, graph.id_index)
 
     labels = LabelSet({ids[i]: int(truth[i]) for i in labeled_idx.tolist()})
     summary = {

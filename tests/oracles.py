@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from hateagg import Dataset, InputError
-from hateagg.serialize import csv_line
+from hateagg.serialize import csv_line, fmt_float
 
 
 # -- parsing, interning and CSR ------------------------------------------------
@@ -186,6 +186,25 @@ def naive_bind(graph, scores, labels, restrict_to_wcc: bool, allow_zero_post_use
 
 
 # -- writers -------------------------------------------------------------------
+
+
+def naive_write_rows(keys, values=None, key_fmt: str = "%s") -> str:
+    """``serialize.write_rows`` cell by cell: one ``%.17g`` row format per row.
+
+    Rows with a non-finite cell are re-rendered with ``fmt_float``, whose
+    spellings (``NaN``, ``Infinity``, ``-Infinity``) ``%.17g`` does not use.
+    """
+    n_rows = len(keys[0])
+    values = np.zeros((n_rows, 0)) if values is None else np.asarray(values, dtype=np.float64)
+    fmt = key_fmt + ",%.17g" * values.shape[1] + "\n"
+    cols = [col.tolist() if isinstance(col, np.ndarray) else list(col) for col in keys]
+    lines = []
+    for head, cells in zip(zip(*cols), values.tolist()):
+        if all(map(math.isfinite, cells)):
+            lines.append(fmt % (*head, *cells))
+        else:
+            lines.append(key_fmt % head + "".join("," + fmt_float(v) for v in cells) + "\n")
+    return "".join(lines)
 
 
 def naive_write_edges(graph) -> str:

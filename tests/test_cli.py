@@ -410,6 +410,13 @@ class TestEval:
         assert "k_bins" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bad_label_names_the_line(self, synth_dir, tmp_path, capsys):
+        labels = write(tmp_path / "labels.csv", "u0000001,1\nu0000002,2\n")
+        argv = [*synth_args(synth_dir)]
+        argv[argv.index("--labels") + 1] = labels
+        assert run("eval", *argv, "--out", str(tmp_path / "r.json")) == 2
+        assert "labels line 2: label must be 0 or 1, got 2\n" in capsys.readouterr().err
+
     def test_bad_folds_rejected(self, synth_dir, tmp_path, capsys):
         code = run(
             "eval", *synth_args(synth_dir), "--folds", "1",

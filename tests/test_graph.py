@@ -19,6 +19,7 @@ from hateagg import (
     largest_wcc,
     powerlaw_gamma,
     powerlaw_gamma_mle,
+    read_edges,
 )
 
 import hateagg.graph as graph_module
@@ -119,6 +120,16 @@ class TestBuildGraph:
                 out_f = sorted(fwd.ids[int(j)] for j in fwd.out_neighbors(i_f))
                 in_r = sorted(rev.ids[int(j)] for j in rev.in_neighbors(i_r))
                 assert out_f == in_r
+
+    def test_graph_adopts_the_edge_list_index(self):
+        edges = read_edges("a,b\nb,c\n")
+        assert edges.index == {"a": 0, "b": 1, "c": 2}
+        assert build_graph(edges).id_index is edges.index
+        g = build_graph(edges, isolated_ids=("z", "a", "y"))
+        assert g.id_index == {"a": 0, "b": 1, "c": 2, "y": 3, "z": 4}
+        # extending for isolated ids copies: the edge list stays as read
+        assert edges.index == {"a": 0, "b": 1, "c": 2}
+        assert edges.ids == ["a", "b", "c"]
 
     def test_isolated_ids_registered(self):
         g = build_graph([("a", "b")], isolated_ids=("z", "y"))

@@ -125,6 +125,11 @@ class TestParseLabels:
         with pytest.raises(InputError):
             parse_labels("u1,2\n")
 
+    def test_label_outside_binary_names_the_line(self):
+        with pytest.raises(InputError) as got:
+            parse_labels("u1,1\nu2,2\n")
+        assert str(got.value) == "labels line 2: label must be 0 or 1, got 2"
+
     def test_constructor_rejects_label_outside_binary(self):
         with pytest.raises(InputError, match="0 or 1"):
             LabelSet({"a": 2})
@@ -187,6 +192,14 @@ class TestBindDataset:
         assert ds.scores.offsets.tolist() == [0, 2, 3]
         assert ds.scores.values.tolist() == [0.9, 0.8, 0.1]
         assert ds.discard_summary["dropped_scored_users"] == 0
+
+    def test_bound_table_shares_the_graph_index(self):
+        graph = build_graph(read_edges("a,b\n"))
+        for scores in ("b,p,0.1\na,p,0.9\n", "a,p,0.9\nghost,p,0.5\n"):
+            ds = bind_dataset(graph, parse_scores(scores), LabelSet())
+            assert ds.scores._row is ds.graph.id_index
+            assert ds.scores.rows_of(ds.graph.ids).tolist() == list(range(ds.graph.node_count))
+        assert graph.id_index == {"a": 0, "b": 1}
 
     def test_misaligned_dataset_rejected(self):
         graph = build_graph([("a", "b")])
@@ -391,6 +404,7 @@ class TestBuildGraphMatchesOracle:
             return
         g = build_graph(pairs, isolated_ids=isolated)
         assert g.ids == ids
+        assert g.id_index == {u: i for i, u in enumerate(ids)}
         for (indptr, indices), (want_ptr, want_idx) in (
             ((g.out_indptr, g.out_indices), lexsort_csr(src, dst, len(ids))),
             ((g.in_indptr, g.in_indices), lexsort_csr(dst, src, len(ids))),
@@ -460,6 +474,7 @@ class TestBindMatchesOracle:
         ds = bind_dataset(graph, scores, labels, policy)
         assert list(ds.discard_summary.items()) == list(summary.items())
         assert ds.graph.ids == ids
+        assert ds.graph.id_index == {u: i for i, u in enumerate(ids)}
         assert sorted(ds.graph.edges()) == sorted(edges)
         assert ds.scores.users() == ds.graph.ids
         assert [ds.scores.scores(u).tolist() for u in ds.graph.ids] == posts

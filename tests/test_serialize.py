@@ -19,6 +19,8 @@ from hateagg.serialize import (
     write_rows,
 )
 
+from oracles import naive_write_rows
+
 
 class TestFmtFloat:
     def test_integral_floats_render_short(self):
@@ -143,6 +145,14 @@ IDS = st.text(
 )
 
 
+# a small pool, so a block repeats its values: the specials above plus a
+# negative NaN and one with another payload
+NEG_NAN = math.copysign(math.nan, -1.0)
+PAYLOAD_NAN = float(np.array(0x7FF8000000000123, dtype=np.uint64).view(np.float64))
+POOL = [*SPECIAL_FLOATS, NEG_NAN, PAYLOAD_NAN]
+POOL_CELLS = st.sampled_from(POOL)
+
+
 def csv_line_rows(keys, values) -> str:
     return "".join(csv_line([key, *row]) + "\n" for key, row in zip(keys, values.tolist()))
 
@@ -163,6 +173,48 @@ class TestWriteRows:
             mp.setattr(serialize, "_BLOCK_ROWS", block)
             write_rows(buf, [keys], values)
         assert buf.getvalue() == csv_line_rows(keys, values)
+
+    @given(
+        data=st.data(),
+        n_rows=st.integers(0, 14),
+        k=st.integers(0, 4),
+        block=st.sampled_from([1, 3, 5, serialize._BLOCK_ROWS]),
+        two_keys=st.booleans(),
+    )
+    def test_matches_the_per_row_oracle(self, data, n_rows, k, block, two_keys):
+        keys = [data.draw(st.lists(IDS, min_size=n_rows, max_size=n_rows))]
+        key_fmt = "%s"
+        if two_keys:
+            posts = data.draw(st.lists(st.integers(0, 99), min_size=n_rows, max_size=n_rows))
+            keys.append(np.array(posts, dtype=np.int64))
+            key_fmt = "%s,p%d"
+        cells = data.draw(st.lists(POOL_CELLS, min_size=n_rows * k, max_size=n_rows * k))
+        values = np.array(cells, dtype=np.float64).reshape(n_rows, k)
+        buf = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(serialize, "_BLOCK_ROWS", block)
+            write_rows(buf, keys, values, key_fmt=key_fmt)
+        assert buf.getvalue() == naive_write_rows(keys, values, key_fmt)
+
+    def test_signed_zeros_and_nans_in_one_block(self):
+        values = np.array([[0.0, -0.0], [-0.0, 0.0], [math.nan, NEG_NAN], [PAYLOAD_NAN, 0.0]])
+        assert np.signbit(values[2, 1]) and not np.signbit(values[2, 0])
+        buf = io.StringIO()
+        write_rows(buf, [["a", "b", "c", "d"]], values)
+        assert buf.getvalue() == "a,0,-0\nb,-0,0\nc,NaN,NaN\nd,NaN,0\n"
+        assert buf.getvalue() == naive_write_rows([["a", "b", "c", "d"]], values)
+
+    def test_repeated_values_past_a_block_boundary(self):
+        n_rows = 2 * serialize._BLOCK_ROWS + 5
+        rng = np.random.default_rng(9)
+        values = rng.choice(np.array(POOL), size=(n_rows, 23))
+        keys = [np.array([f"u{i}" for i in range(n_rows)], dtype=object)]
+        buf = io.StringIO()
+        write_rows(buf, keys, values)
+        got, want = buf.getvalue().splitlines(), naive_write_rows(keys, values).splitlines()
+        assert len(got) == len(want) == n_rows
+        # the first differing row, not a diff of 8k-line strings
+        assert next(((g, w) for g, w in zip(got, want) if g != w), None) is None
 
     def test_rows_past_a_block_boundary(self):
         n_rows = 2 * serialize._BLOCK_ROWS + 17
