@@ -9,7 +9,6 @@ baseline plus a synthetic planted-community generator for verification.
 """
 
 from .degroot import (
-    BeliefVector,
     DiffusionConfig,
     degroot_classify,
     degroot_init,
@@ -68,7 +67,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregationConfig",
-    "BeliefVector",
     "BindPolicy",
     "ComponentCounts",
     "EdgeList",

@@ -20,7 +20,9 @@ from dataclasses import asdict
 from pathlib import Path
 from typing import IO, Callable, Iterator
 
-from .degroot import DiffusionConfig, degroot_init, degroot_run
+import numpy as np
+
+from .degroot import DIRECTIONS, INITS, DiffusionConfig, degroot_init, degroot_run
 from .errors import DegenerateDataError, InputError
 from .features import MODES, AggregationConfig, build_features
 from .graph import build_graph, graph_stats
@@ -36,12 +38,11 @@ from .ingest import (
     write_labels,
     write_scores,
 )
-from .learn import LearnConfig, cross_validate, threshold_sweep, train_logreg
-from .serialize import csv_line, dump_json, json_line, write_rows
+from .learn import METRIC_NAMES, LearnConfig, cross_validate, threshold_sweep, train_logreg
+from .serialize import dump_json, json_line, write_rows
 from .synth import SynthConfig, generate, planted_labels, user_ids
 
-SWEEP_HEADER = "threshold,precision,recall,f1,roc_auc"
-METRIC_KEYS = ("precision", "recall", "f1", "roc_auc")
+SWEEP_HEADER = "threshold," + ",".join(METRIC_NAMES)
 
 
 def _parse_file(path: str, parser: Callable, what: str):
@@ -201,16 +202,6 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _sweep_rows(dataset: Dataset, thresholds: list[int], tau_t: float) -> str:
-    rows = threshold_sweep(dataset, thresholds, tau_t=tau_t)
-    lines = [SWEEP_HEADER]
-    for row in rows:
-        lines.append(
-            csv_line([row["threshold"], *[float(row[m]) for m in METRIC_KEYS]])
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _parse_thresholds(text: str) -> list[int]:
     try:
         values = [int(part) for part in text.split(",") if part.strip() != ""]
@@ -223,21 +214,10 @@ def _parse_thresholds(text: str) -> list[int]:
 
 def cmd_eval(args) -> int:
     dataset = _load_dataset(args)
-    agg = _agg_config(args)
-    if args.sweep is not None:
-        if args.mode != "fixed":
-            raise InputError("--sweep applies to --mode fixed only")
-        thresholds = _parse_thresholds(args.sweep)
-        text = _sweep_rows(dataset, thresholds, agg.tau_t)
-        _write_text(args.out, text)
-        _write_config_sidecar(
-            args.out, {**_feature_echo(args, agg), "sweep": thresholds}
-        )
-        return 0
     report = cross_validate(
         dataset,
         args.mode,
-        agg=agg,
+        agg=_agg_config(args),
         config=_learn_config(
             args,
             folds=args.folds,
@@ -246,7 +226,11 @@ def cmd_eval(args) -> int:
         ),
         diffusion=_diffusion_config(args) if args.mode == "degroot" else None,
     )
-    report.config = {**_io_echo(args, "edges", "scores", "labels"), **report.config}
+    report.config = {
+        **_io_echo(args, "edges", "scores", "labels"),
+        **report.config,
+        "wcc_only": args.wcc_only,
+    }
     _write_text(args.out, report.to_json())
     return 0
 
@@ -254,14 +238,18 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     dataset = _load_dataset(args)
     thresholds = _parse_thresholds(args.thresholds)
-    text = _sweep_rows(dataset, thresholds, args.tau_t)
-    _write_text(args.out, text)
+    rows = threshold_sweep(dataset, thresholds, tau_t=args.tau_t)
+    values = np.array([[row[m] for m in METRIC_NAMES] for row in rows], dtype=np.float64)
+    with _output(args.out) as fh:
+        fh.write(SWEEP_HEADER + "\n")
+        write_rows(fh, [[row["threshold"] for row in rows]], values)
     _write_config_sidecar(
         args.out,
         {
             **_io_echo(args, "edges", "scores", "labels"),
             "tau_t": args.tau_t,
             "thresholds": thresholds,
+            "wcc_only": args.wcc_only,
         },
     )
     return 0
@@ -271,16 +259,10 @@ def cmd_diffuse(args) -> int:
     dataset = _load_dataset(args)
     config = _diffusion_config(args)
     agg = _agg_config(args)
-    beliefs, log = degroot_run(
-        dataset.graph,
-        degroot_init(dataset, agg, init=config.init),
-        max_iters=config.max_iters,
-        tol=config.tol,
-        direction=config.direction,
-    )
+    beliefs, log = degroot_run(dataset.graph, degroot_init(dataset, agg, config), config)
     with _output(args.out) as fh:
         fh.write("user_id,belief\n")
-        write_rows(fh, [dataset.graph.ids], beliefs.values[:, None])
+        write_rows(fh, [dataset.graph.ids], beliefs[:, None])
     if args.out != "-":
         _write_text(args.out + ".convergence.jsonl", "\n".join(map(json_line, log)) + "\n")
     _write_config_sidecar(
@@ -290,7 +272,8 @@ def cmd_diffuse(args) -> int:
             **asdict(config),
             "tau_t": args.tau_t,
             "tau_fixed": args.tau_fixed,
-            "iterations": beliefs.iteration,
+            "wcc_only": args.wcc_only,
+            "iterations": len(log),
         },
     )
     return 0
@@ -406,7 +389,7 @@ def _add_cv_flags(p) -> None:
 def _add_diffusion_flags(p) -> None:
     p.add_argument(
         "--direction",
-        choices=("out", "in", "undirected"),
+        choices=DIRECTIONS,
         default="out",
         help="neighbor set used in the averaging step",
     )
@@ -414,7 +397,7 @@ def _add_diffusion_flags(p) -> None:
     p.add_argument("--tol", type=float, default=1e-6, help="max-change stop tolerance")
     p.add_argument(
         "--init",
-        choices=("fraction", "binary"),
+        choices=INITS,
         default="fraction",
         help="belief seeding: flagged-post fraction or naive classification",
     )
@@ -497,12 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_cv_flags(p)
     _add_diffusion_flags(p)
     _add_threads_flag(p)
-    p.add_argument(
-        "--sweep",
-        default=None,
-        metavar="T1,T2,...",
-        help="with --mode fixed: sweep count thresholds, emit CSV instead",
-    )
     p.add_argument("--out", default="-", help="output path ('-' for stdout)")
 
     p = add("sweep", cmd_sweep, "fixed-threshold sweep over count cutoffs")

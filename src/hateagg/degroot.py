@@ -23,7 +23,6 @@ from .graph import SocialGraph
 from .ingest import Dataset
 
 __all__ = [
-    "BeliefVector",
     "DiffusionConfig",
     "degroot_init",
     "degroot_step",
@@ -32,18 +31,13 @@ __all__ = [
 ]
 
 DIRECTIONS = ("out", "in", "undirected")
-
-
-@dataclass
-class BeliefVector:
-    """Per-node beliefs in [0, 1] plus the number of smoothing steps taken."""
-
-    values: np.ndarray
-    iteration: int = 0
+INITS = ("fraction", "binary")
 
 
 @dataclass
 class DiffusionConfig:
+    """DeGroot settings; the one place they are validated."""
+
     direction: str = "out"
     max_iters: int = 100
     tol: float = 1e-6
@@ -52,87 +46,74 @@ class DiffusionConfig:
     def __post_init__(self) -> None:
         if self.direction not in DIRECTIONS:
             raise InputError(f"direction must be one of {DIRECTIONS}")
-        if self.init not in ("fraction", "binary"):
-            raise InputError("init must be 'fraction' or 'binary'")
+        if self.init not in INITS:
+            raise InputError(f"init must be one of {INITS}")
         if self.max_iters < 1:
             raise InputError("max_iters must be >= 1")
-        if self.tol <= 0:
-            raise InputError("tol must be > 0")
+        if not (self.tol > 0):  # also rejects NaN
+            raise InputError(f"tol must be > 0, got {self.tol}")
 
 
 def degroot_init(
     dataset: Dataset,
-    config: AggregationConfig | None = None,
-    init: str = "fraction",
-) -> BeliefVector:
-    """Seed beliefs from the textual signal.
+    agg: AggregationConfig | None = None,
+    config: DiffusionConfig | None = None,
+) -> np.ndarray:
+    """Seed beliefs from the textual signal, one float64 per node.
 
-    "fraction": each user's share of flagged posts (0 for users without
+    init "fraction": each user's share of flagged posts (0 for users without
     posts). "binary": the naive classification flag instead.
     """
-    config = config or AggregationConfig()
-    counts, posts = per_node_counts(dataset, config.tau_t)
-    if init == "fraction":
-        values = np.zeros(dataset.graph.node_count, dtype=np.float64)
-        has = posts > 0
-        values[has] = counts[has] / posts[has]
-    elif init == "binary":
-        values = (counts >= config.tau_fixed).astype(np.float64)
-    else:
-        raise InputError("init must be 'fraction' or 'binary'")
-    return BeliefVector(values=values, iteration=0)
+    agg = agg or AggregationConfig()
+    config = config or DiffusionConfig()
+    counts, posts = per_node_counts(dataset, agg.tau_t)
+    if config.init == "binary":
+        return (counts >= agg.tau_fixed).astype(np.float64)
+    values = np.zeros(dataset.graph.node_count, dtype=np.float64)
+    has = posts > 0
+    values[has] = counts[has] / posts[has]
+    return values
 
 
 def degroot_step(
-    graph: SocialGraph, beliefs: BeliefVector, direction: str = "out"
-) -> BeliefVector:
+    graph: SocialGraph, values: np.ndarray, direction: str = "out"
+) -> np.ndarray:
     """One self-inclusive averaging step over the chosen neighbor set.
 
     Evaluated in residual form b + sum(b_v - b_u) / (1 + deg) so a constant
-    belief vector reproduces itself bit for bit.
+    belief vector reproduces itself bit for bit. An unknown direction fails
+    in the graph's view lookup.
     """
-    b = beliefs.values
-    if len(b) != graph.node_count:
+    if len(values) != graph.node_count:
         raise InputError("belief vector length does not match graph")
-    if direction not in DIRECTIONS:
-        raise InputError(f"direction must be one of {DIRECTIONS}")
-    deltas = graph.neighbor_delta_sums(b, direction)
-    new = b + deltas / (1.0 + graph.degrees(direction))
-    return BeliefVector(values=new, iteration=beliefs.iteration + 1)
+    deltas = graph.neighbor_delta_sums(values, direction)
+    return values + deltas / (1.0 + graph.degrees(direction))
 
 
 def degroot_run(
     graph: SocialGraph,
-    beliefs: BeliefVector,
-    max_iters: int = 100,
-    tol: float = 1e-6,
-    direction: str = "out",
-) -> tuple[BeliefVector, list[dict]]:
-    """Iterate until the max-norm change drops below tol or iterations run out.
+    values: np.ndarray,
+    config: DiffusionConfig | None = None,
+) -> tuple[np.ndarray, list[dict]]:
+    """Step until the max-norm change drops below tol or max_iters run out.
 
-    Returns the final beliefs and a convergence log with one entry per step:
-    {"iteration": i, "max_change": c}.
+    Returns the final beliefs and a convergence log with one entry per step,
+    {"iteration": i, "max_change": c}; the step count is ``len(log)``.
     """
-    if max_iters < 1:
-        raise InputError("max_iters must be >= 1")
-    if tol <= 0:
-        raise InputError("tol must be > 0")
+    config = config or DiffusionConfig()
     log: list[dict] = []
-    current = beliefs
-    for _ in range(max_iters):
-        nxt = degroot_step(graph, current, direction)
-        change = float(np.max(np.abs(nxt.values - current.values))) if len(
-            current.values
-        ) else 0.0
-        log.append({"iteration": nxt.iteration, "max_change": change})
-        current = nxt
-        if change < tol:
+    for i in range(1, config.max_iters + 1):
+        nxt = degroot_step(graph, values, config.direction)
+        change = float(np.max(np.abs(nxt - values))) if len(values) else 0.0
+        log.append({"iteration": i, "max_change": change})
+        values = nxt
+        if change < config.tol:
             break
-    return current, log
+    return values, log
 
 
-def degroot_classify(beliefs: BeliefVector, threshold: float = 0.5) -> np.ndarray:
+def degroot_classify(beliefs: np.ndarray, threshold: float = 0.5) -> np.ndarray:
     """Per-node 0/1 decision: 1 iff belief >= threshold (inclusive)."""
     if not (0.0 <= threshold <= 1.0):
         raise InputError("threshold must be in [0, 1]")
-    return (beliefs.values >= threshold).astype(np.int64)
+    return (beliefs >= threshold).astype(np.int64)

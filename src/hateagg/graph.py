@@ -15,7 +15,7 @@ view: parallel and reciprocal edges collapse to a single undirected link.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -313,14 +313,7 @@ class GraphStats:
     powerlaw_gamma: float
 
     def to_dict(self) -> dict:
-        return {
-            "n_components": self.n_components,
-            "n_singletons": self.n_singletons,
-            "largest_wcc_nodes": self.largest_wcc_nodes,
-            "largest_wcc_edges": self.largest_wcc_edges,
-            "clustering_coefficient": self.clustering_coefficient,
-            "powerlaw_gamma": self.powerlaw_gamma,
-        }
+        return asdict(self)
 
 
 def extend_ids(ids: list, index: dict, extra: Iterable[str]) -> tuple[list, dict]:

@@ -17,6 +17,7 @@ weights (never the bias):
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from .degroot import DiffusionConfig, degroot_init, degroot_run
 from .errors import DegenerateDataError, InputError
-from .features import AggregationConfig, FeatureMatrix, build_features, per_node_counts
+from .features import AggregationConfig, build_features, per_node_counts
 from .ingest import Dataset
 from .serialize import dump_json
 
@@ -59,8 +60,10 @@ class LearnConfig:
     def __post_init__(self) -> None:
         if self.folds < 2:
             raise InputError("folds must be >= 2")
-        if self.l2_lambda < 0:
-            raise InputError("l2_lambda must be >= 0")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
+        if not (self.l2_lambda >= 0 and math.isfinite(self.l2_lambda)):
+            raise InputError(f"l2_lambda must be finite and >= 0, got {self.l2_lambda}")
         if not (0.0 <= self.decision_threshold <= 1.0):
             raise InputError("decision_threshold must be in [0, 1]")
 
@@ -113,7 +116,7 @@ def loss_and_gradient(
 
 
 def train_logreg(
-    features: FeatureMatrix | np.ndarray,
+    features: np.ndarray,
     y: Sequence[int] | np.ndarray,
     config: LearnConfig | None = None,
     schema: list[str] | None = None,
@@ -128,14 +131,10 @@ def train_logreg(
     trial.
     """
     config = config or LearnConfig()
-    if isinstance(features, FeatureMatrix):
-        X = features.values
-        schema = features.schema
-    else:
-        X = np.asarray(features, dtype=np.float64)
-        if X.ndim == 1:
-            X = X[:, None]
-        schema = schema or [f"f{i}" for i in range(X.shape[1])]
+    X = np.asarray(features, dtype=np.float64)
+    if X.ndim == 1:
+        X = X[:, None]
+    schema = schema or [f"f{i}" for i in range(X.shape[1])]
     y = np.asarray(y, dtype=np.float64)
     if X.shape[0] != len(y):
         raise InputError("feature rows and labels disagree in length")
@@ -430,14 +429,8 @@ def cross_validate(
         run_config.update(asdict(diffusion), threshold_selection="train_fold_f1")
         node_idx, y = dataset.labeled_indices()
         folds = _stratified_folds(y, config)  # raises before any diffusion step
-        beliefs, _ = degroot_run(
-            dataset.graph,
-            degroot_init(dataset, agg, init=diffusion.init),
-            max_iters=diffusion.max_iters,
-            tol=diffusion.tol,
-            direction=diffusion.direction,
-        )
-        scores = beliefs.values[node_idx]
+        beliefs, _ = degroot_run(dataset.graph, degroot_init(dataset, agg, diffusion), diffusion)
+        scores = beliefs[node_idx]
         # no trained model: every fold scores the same beliefs
         return _cv_report(
             y, folds, config, run_config, lambda _: scores.__getitem__, select=True

@@ -93,19 +93,6 @@ def dump_json(obj: Any) -> str:
     return render_json(obj) + "\n"
 
 
-def csv_cell(value: Any) -> str:
-    """Render one CSV cell; floats get the 17-digit treatment."""
-    if isinstance(value, float):
-        return fmt_float(value)
-    if hasattr(value, "item"):  # numpy scalar
-        return csv_cell(value.item())
-    return str(value)
-
-
-def csv_line(values: list[Any] | tuple[Any, ...]) -> str:
-    return ",".join(csv_cell(v) for v in values)
-
-
 def _rendered(block: np.ndarray) -> np.ndarray:
     """Object array of the cells of ``block`` as :func:`fmt_float` renders them.
 

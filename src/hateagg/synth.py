@@ -18,7 +18,8 @@ counts, ambiguity coins, hateful-score draws, normal-score draws.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -59,10 +60,12 @@ class SynthConfig:
         if lo < 0 or hi < lo:
             raise InputError("posts_per_user must be an ascending pair of counts")
         for a, b in (self.score_dist_hate, self.score_dist_normal):
-            if a <= 0 or b <= 0:
-                raise InputError("Beta parameters must be > 0")
+            if not all(x > 0 and math.isfinite(x) for x in (a, b)):
+                raise InputError(f"Beta parameters must be finite and > 0, got {a},{b}")
         if not (0.0 <= self.ambiguity <= 1.0):
             raise InputError("ambiguity must be in [0, 1]")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
         if self.n_labeled is not None and not (1 <= self.n_labeled <= self.n_users):
             raise InputError("n_labeled must be in [1, n_users]")
 
@@ -71,19 +74,7 @@ class SynthConfig:
         return int(round(self.hate_fraction * self.n_users))
 
     def to_dict(self) -> dict:
-        return {
-            "n_users": self.n_users,
-            "hate_fraction": self.hate_fraction,
-            "p_in": self.p_in,
-            "p_out": self.p_out,
-            "posts_per_user": list(self.posts_per_user),
-            "score_dist_hate": list(self.score_dist_hate),
-            "score_dist_normal": list(self.score_dist_normal),
-            "ambiguity": self.ambiguity,
-            "seed": self.seed,
-            "n_labeled": self.n_labeled,
-            "scores_only_labeled": self.scores_only_labeled,
-        }
+        return asdict(self)
 
 
 def user_ids(n: int) -> list[str]:

@@ -16,7 +16,23 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from hateagg import Dataset, InputError
-from hateagg.serialize import csv_line, fmt_float
+from hateagg.serialize import fmt_float
+
+
+# -- per-cell CSV rendering -----------------------------------------------------
+
+
+def csv_cell(value) -> str:
+    """One CSV cell; floats get the 17-digit treatment of ``fmt_float``."""
+    if isinstance(value, float):
+        return fmt_float(value)
+    if hasattr(value, "item"):  # numpy scalar
+        return csv_cell(value.item())
+    return str(value)
+
+
+def csv_line(values) -> str:
+    return ",".join(csv_cell(v) for v in values)
 
 
 # -- parsing, interning and CSR ------------------------------------------------

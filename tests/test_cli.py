@@ -178,28 +178,28 @@ class TestConfigEcho:
         [
             (["features"], True, FEATURE_ECHO),
             (["train"], False, FEATURE_ECHO + ["l2_lambda", "decision_threshold"]),
-            (["eval"], False, CV_ECHO),
+            (["eval"], False, CV_ECHO + ["wcc_only"]),
             (
                 ["eval", "--mode", "degroot"],
                 False,
-                CV_ECHO + ["direction", "max_iters", "tol", "init", "threshold_selection"],
+                CV_ECHO
+                + ["direction", "max_iters", "tol", "init", "threshold_selection", "wcc_only"],
             ),
-            (["eval", "--mode", "fixed", "--sweep", "1,3"], True, FEATURE_ECHO + ["sweep"]),
             (
                 ["sweep"],
                 True,
-                ["subcommand", "edges", "scores", "labels", "tau_t", "thresholds"],
+                ["subcommand", "edges", "scores", "labels", "tau_t", "thresholds", "wcc_only"],
             ),
             (
                 ["diffuse"],
                 True,
                 [
                     "subcommand", "edges", "scores", "direction", "max_iters", "tol",
-                    "init", "tau_t", "tau_fixed", "iterations",
+                    "init", "tau_t", "tau_fixed", "wcc_only", "iterations",
                 ],
             ),
         ],
-        ids=["features", "train", "eval", "eval-degroot", "eval-sweep", "sweep", "diffuse"],
+        ids=["features", "train", "eval", "eval-degroot", "sweep", "diffuse"],
     )
     def test_keys_in_order(self, synth_dir, tmp_path, capsys, argv, sidecar, keys):
         out = tmp_path / "out"
@@ -245,6 +245,22 @@ class TestSynth:
         )
         assert code == 2
         assert "hate_fraction" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--seed", "-1"], "seed"),
+            (["--beta-hate", "nan,2"], "Beta"),
+            (["--beta-normal", "2,inf"], "Beta"),
+        ],
+        ids=["negative-seed", "nan-beta", "inf-beta"],
+    )
+    def test_bad_settings_exit_2(self, tmp_path, capsys, flags, key):
+        out = tmp_path / "x"
+        assert run("synth", "--n", "40", *flags, "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_labels_match_ground_truth_prefix(self, synth_dir):
         truth = dict(
@@ -332,6 +348,15 @@ class TestTrain:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("lam", ["nan", "inf"])
+    def test_non_finite_l2_lambda_rejected(self, synth_dir, tmp_path, capsys, lam):
+        out = tmp_path / "model.json"
+        code = run("train", *synth_args(synth_dir), "--l2-lambda", lam, "--out", str(out))
+        assert code == 2
+        assert "l2_lambda" in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestEval:
     def test_multimodal_report(self, synth_dir, tmp_path, capsys):
         out = tmp_path / "eval.json"
@@ -365,25 +390,6 @@ class TestEval:
         payload = json.loads(out.read_text())
         assert payload["config"]["threshold_selection"] == "train_fold_f1"
 
-    def test_inline_sweep_emits_csv(self, synth_dir, tmp_path, capsys):
-        out = tmp_path / "sw.csv"
-        code = run(
-            "eval", *synth_args(synth_dir), "--mode", "fixed",
-            "--sweep", "1,3,10,50,100", "--out", str(out),
-        )
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == SWEEP_HEADER
-        assert len(lines) == 6
-        assert lines[1].startswith("1,")
-
-    def test_sweep_requires_fixed_mode(self, synth_dir, tmp_path, capsys):
-        code = run(
-            "eval", *synth_args(synth_dir), "--mode", "multimodal",
-            "--sweep", "1,3", "--out", str(tmp_path / "x.csv"),
-        )
-        assert code == 2
-
     def test_single_class_labels_gives_exit_3(self, synth_dir, tmp_path, capsys):
         labels = write(
             tmp_path / "labels.csv",
@@ -399,23 +405,36 @@ class TestEval:
         )
         assert code == 3
 
-    def test_sweep_validates_the_echoed_config(self, synth_dir, tmp_path, capsys):
-        # the sidecar echoes k_bins, so an invalid value fails as it does elsewhere
-        out = tmp_path / "x.csv"
-        code = run(
-            "eval", *synth_args(synth_dir), "--mode", "fixed",
-            "--sweep", "1,3", "--bins", "1", "--out", str(out),
-        )
-        assert code == 2
-        assert "k_bins" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_bad_label_names_the_line(self, synth_dir, tmp_path, capsys):
         labels = write(tmp_path / "labels.csv", "u0000001,1\nu0000002,2\n")
         argv = [*synth_args(synth_dir)]
         argv[argv.index("--labels") + 1] = labels
         assert run("eval", *argv, "--out", str(tmp_path / "r.json")) == 2
         assert "labels line 2: label must be 0 or 1, got 2\n" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--seed", "-1"], "seed"),
+            (["--l2-lambda", "nan"], "l2_lambda"),
+            (["--l2-lambda", "inf"], "l2_lambda"),
+            (["--mode", "degroot", "--tol", "nan"], "tol"),
+        ],
+        ids=["negative-seed", "nan-l2", "inf-l2", "nan-tol"],
+    )
+    def test_bad_settings_exit_2(self, synth_dir, tmp_path, capsys, flags, key):
+        out = tmp_path / "x.json"
+        assert run("eval", *synth_args(synth_dir), *flags, "--out", str(out)) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sweep_flag_is_gone(self, synth_dir, tmp_path, capsys):
+        code = run(
+            "eval", *synth_args(synth_dir), "--mode", "fixed",
+            "--sweep", "1,3", "--out", str(tmp_path / "x.csv"),
+        )
+        assert code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_bad_folds_rejected(self, synth_dir, tmp_path, capsys):
         code = run(
@@ -471,6 +490,13 @@ class TestDiffuse:
         sidecar = json.loads((tmp_path / "beliefs.csv.config.json").read_text())
         assert sidecar["direction"] == "undirected"
         assert sidecar["iterations"] == len(log_lines)
+
+    def test_nan_tol_rejected(self, synth_dir, tmp_path, capsys):
+        out = tmp_path / "beliefs.csv"
+        code = run("diffuse", *synth_args(synth_dir), "--tol", "nan", "--out", str(out))
+        assert code == 2
+        assert "tol" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["diffuse", "eval"])
     def test_belief_threshold_flag_is_gone(self, synth_dir, tmp_path, capsys, command):

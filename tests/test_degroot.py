@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from hateagg import (
     AggregationConfig,
+    DiffusionConfig,
     InputError,
     build_graph,
     degroot_classify,
@@ -14,7 +15,6 @@ from hateagg import (
     degroot_run,
     degroot_step,
 )
-from hateagg.degroot import BeliefVector
 from hateagg.graph import SocialGraph
 
 from conftest import make_dataset, random_dataset
@@ -26,7 +26,7 @@ def two_node_graph():
 
 
 def beliefs(values):
-    return BeliefVector(values=np.asarray(values, dtype=np.float64))
+    return np.asarray(values, dtype=np.float64)
 
 
 class TestInit:
@@ -34,39 +34,41 @@ class TestInit:
         ds = make_dataset(
             [("a", "b")], scores={"a": [0.9, 0.2], "b": [0.1, 0.1]}
         )
-        b = degroot_init(ds, init="fraction")
-        by_id = dict(zip(ds.graph.ids, b.values.tolist()))
+        b = degroot_init(ds, config=DiffusionConfig(init="fraction"))
+        by_id = dict(zip(ds.graph.ids, b.tolist()))
         assert by_id == {"a": 0.5, "b": 0.0}
 
     def test_zero_post_user_starts_at_zero(self):
         ds = make_dataset([("a", "b")], scores={"a": [0.9]})
-        b = degroot_init(ds, init="fraction")
-        assert b.values[ds.graph.id_index["b"]] == 0.0
+        b = degroot_init(ds, config=DiffusionConfig(init="fraction"))
+        assert b[ds.graph.id_index["b"]] == 0.0
 
     def test_binary_init_uses_fixed_rule(self):
         ds = make_dataset(
             [("a", "b")], scores={"a": [0.9, 0.9, 0.9], "b": [0.9]}
         )
-        b = degroot_init(ds, AggregationConfig(tau_fixed=3), init="binary")
-        by_id = dict(zip(ds.graph.ids, b.values.tolist()))
+        b = degroot_init(ds, AggregationConfig(tau_fixed=3), DiffusionConfig(init="binary"))
+        by_id = dict(zip(ds.graph.ids, b.tolist()))
         assert by_id == {"a": 1.0, "b": 0.0}
 
     def test_unknown_init_rejected(self):
-        ds = make_dataset([("a", "b")], scores={"a": [0.9], "b": [0.1]})
         with pytest.raises(InputError):
-            degroot_init(ds, init="antigravity")
+            DiffusionConfig(init="antigravity")
 
     def test_iteration_counter_starts_at_zero(self):
+        # the step count is the log length: init has taken no step, so the
+        # first logged step is iteration 1
         ds = make_dataset([("a", "b")], scores={"a": [0.9], "b": [0.1]})
-        assert degroot_init(ds).iteration == 0
+        config = DiffusionConfig(max_iters=3, tol=1e-300)
+        _, log = degroot_run(ds.graph, degroot_init(ds, config=config), config)
+        assert [rec["iteration"] for rec in log] == [1, 2, 3]
 
 
 class TestStep:
     def test_mutual_pair_averages(self):
         g = two_node_graph()
         nxt = degroot_step(g, beliefs([1.0, 0.0]))
-        assert nxt.values.tolist() == [0.5, 0.5]
-        assert nxt.iteration == 1
+        assert nxt.tolist() == [0.5, 0.5]
 
     def test_constant_vector_is_fixed_point(self):
         rng = np.random.default_rng(73)
@@ -74,14 +76,14 @@ class TestStep:
         vals = np.full(ds.graph.node_count, 0.31)
         for direction in ("out", "in", "undirected"):
             nxt = degroot_step(ds.graph, beliefs(vals), direction)
-            assert np.array_equal(nxt.values, vals)
+            assert np.array_equal(nxt, vals)
 
     def test_isolated_node_keeps_belief(self):
         g = build_graph([("a", "b")], isolated_ids=("z",))
         vals = np.zeros(3)
         vals[g.id_index["z"]] = 0.7
         nxt = degroot_step(g, beliefs(vals))
-        assert nxt.values[g.id_index["z"]] == 0.7
+        assert nxt[g.id_index["z"]] == 0.7
 
     def test_matches_dense_reference(self):
         rng = np.random.default_rng(79)
@@ -94,7 +96,7 @@ class TestStep:
             for direction in ("out", "in", "undirected"):
                 want = dense_degroot_step(g.node_count, idx_edges, vals, direction)
                 got = degroot_step(g, beliefs(vals), direction)
-                assert np.max(np.abs(got.values - want)) < 1e-12
+                assert np.max(np.abs(got - want)) < 1e-12
 
     def test_direction_uses_requested_neighborhood(self):
         # a -> b: under "out" a averages with b while b only sees itself
@@ -102,8 +104,8 @@ class TestStep:
         a, b = g.id_index["a"], g.id_index["b"]
         vals = np.zeros(2)
         vals[a] = 1.0
-        out_step = degroot_step(g, beliefs(vals), "out").values
-        in_step = degroot_step(g, beliefs(vals), "in").values
+        out_step = degroot_step(g, beliefs(vals), "out")
+        in_step = degroot_step(g, beliefs(vals), "in")
         assert out_step[a] == 0.5 and out_step[b] == 0.0
         assert in_step[a] == 1.0 and in_step[b] == 0.5
 
@@ -130,7 +132,7 @@ class TestStep:
         )
         for direction in ("out", "in", "undirected"):
             for _ in range(2):  # the second step runs on the cached index
-                got = degroot_step(g, beliefs(vals), direction).values
+                got = degroot_step(g, beliefs(vals), direction)
                 want = gather_degroot_step(g, vals, direction)
                 assert got.tobytes() == want.tobytes()
 
@@ -138,24 +140,24 @@ class TestStep:
 class TestRun:
     def test_mutual_pair_converges_to_mean(self):
         g = two_node_graph()
-        final, log = degroot_run(g, beliefs([1.0, 0.0]), tol=1e-9)
-        assert np.allclose(final.values, [0.5, 0.5], atol=1e-9)
+        final, log = degroot_run(g, beliefs([1.0, 0.0]), DiffusionConfig(tol=1e-9))
+        assert np.allclose(final, [0.5, 0.5], atol=1e-9)
         assert len(log) <= 3
         assert log[0]["iteration"] == 1
         assert all("max_change" in rec for rec in log)
 
     def test_already_converged_stops_after_one_step(self):
         g = two_node_graph()
-        final, log = degroot_run(g, beliefs([0.4, 0.4]))
+        _, log = degroot_run(g, beliefs([0.4, 0.4]))
         assert len(log) == 1
         assert log[0]["max_change"] == 0.0
-        assert final.iteration == 1
 
     def test_log_changes_non_increasing_on_undirected(self):
         rng = np.random.default_rng(89)
         ds = random_dataset(rng, max_users=80, max_posts=2, edge_prob=0.06)
         init = beliefs(rng.random(ds.graph.node_count))
-        _, log = degroot_run(ds.graph, init, max_iters=60, direction="undirected")
+        config = DiffusionConfig(direction="undirected", max_iters=60)
+        _, log = degroot_run(ds.graph, init, config)
         changes = [rec["max_change"] for rec in log]
         assert all(b <= a + 1e-12 for a, b in zip(changes, changes[1:]))
 
@@ -166,20 +168,18 @@ class TestRun:
         g = build_graph(edges)
         init = np.zeros(11)
         init[g.id_index["hub"]] = 1.0
-        final, _ = degroot_run(
-            g, beliefs(init), max_iters=10_000, tol=1e-13, direction="undirected"
-        )
-        assert np.max(np.abs(final.values - 11.0 / 31.0)) < 1e-9
+        config = DiffusionConfig(direction="undirected", max_iters=10_000, tol=1e-13)
+        final, _ = degroot_run(g, beliefs(init), config)
+        assert np.max(np.abs(final - 11.0 / 31.0)) < 1e-9
 
     def test_large_undirected_run_converges(self):
         rng = np.random.default_rng(83)
         ds = random_dataset(rng, max_users=1000, max_posts=2, edge_prob=0.01)
         init = beliefs(rng.random(ds.graph.node_count))
-        final, log = degroot_run(
-            ds.graph, init, max_iters=10_000, tol=1e-8, direction="undirected"
-        )
+        config = DiffusionConfig(direction="undirected", max_iters=10_000, tol=1e-8)
+        _, log = degroot_run(ds.graph, init, config)
         assert log[-1]["max_change"] < 1e-8
-        assert final.iteration <= 10_000
+        assert len(log) <= 10_000
 
     @settings(max_examples=25)
     @given(st.integers(min_value=0, max_value=2**31 - 1))
@@ -188,18 +188,27 @@ class TestRun:
         ds = random_dataset(rng, max_users=40, max_posts=2, edge_prob=0.1)
         init = rng.random(ds.graph.node_count)
         lo, hi = float(init.min()), float(init.max())
-        final, _ = degroot_run(
-            ds.graph, beliefs(init), max_iters=50, direction="undirected"
-        )
-        assert np.all(final.values >= lo - 1e-12)
-        assert np.all(final.values <= hi + 1e-12)
+        config = DiffusionConfig(direction="undirected", max_iters=50)
+        final, _ = degroot_run(ds.graph, beliefs(init), config)
+        assert np.all(final >= lo - 1e-12)
+        assert np.all(final <= hi + 1e-12)
 
     def test_invalid_parameters_rejected(self):
-        g = two_node_graph()
         with pytest.raises(InputError):
-            degroot_run(g, beliefs([0.1, 0.2]), max_iters=0)
+            DiffusionConfig(max_iters=0)
         with pytest.raises(InputError):
-            degroot_run(g, beliefs([0.1, 0.2]), tol=0.0)
+            DiffusionConfig(tol=0.0)
+        with pytest.raises(InputError):
+            DiffusionConfig(direction="sideways")
+
+    def test_nan_tol_rejected(self):
+        # NaN fails every comparison, so a stop test "change < tol" never fires
+        with pytest.raises(InputError, match="tol"):
+            DiffusionConfig(tol=float("nan"))
+
+    def test_unknown_direction_fails_in_the_step(self):
+        with pytest.raises(InputError, match="unknown direction"):
+            degroot_step(two_node_graph(), beliefs([0.1, 0.2]), "sideways")
 
 
 class TestClassify:

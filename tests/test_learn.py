@@ -58,6 +58,18 @@ def identity_model(weights, bias=0.0):
     )
 
 
+class TestLearnConfig:
+    @pytest.mark.parametrize("lam", [float("nan"), float("inf"), -1.0])
+    def test_l2_lambda_must_be_finite_and_non_negative(self, lam):
+        # a NaN penalty makes every Armijo test fail: zero weights after zero steps
+        with pytest.raises(InputError, match="l2_lambda"):
+            LearnConfig(l2_lambda=lam)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed"):
+            LearnConfig(seed=-1)
+
+
 class TestTrainLogreg:
     def test_separable_data_fits_perfectly(self):
         X = np.array([[-1.0]] * 20 + [[1.0]] * 20)

@@ -11,15 +11,13 @@ from hypothesis import strategies as st
 
 from hateagg import serialize
 from hateagg.serialize import (
-    csv_cell,
-    csv_line,
     dump_json,
     fmt_float,
     render_json,
     write_rows,
 )
 
-from oracles import naive_write_rows
+from oracles import csv_cell, csv_line, naive_write_rows
 
 
 class TestFmtFloat:
@@ -116,6 +114,8 @@ class TestRenderJson:
 
 
 class TestCsv:
+    """The per-cell reference in ``tests/oracles.py`` that ``write_rows`` is checked against."""
+
     def test_floats_use_full_precision(self):
         assert csv_cell(0.1) == "0.10000000000000001"
         assert csv_cell(1.0) == "1"

@@ -51,6 +51,18 @@ class TestConfig:
         with pytest.raises(InputError):
             SynthConfig(n_users=10, score_dist_normal=(2.0, -1.0))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_beta_rejected(self, bad):
+        # NaN parameters draw NaN scores, which no score file accepts
+        with pytest.raises(InputError, match="Beta"):
+            SynthConfig(n_users=10, score_dist_hate=(bad, 2.0))
+        with pytest.raises(InputError, match="Beta"):
+            SynthConfig(n_users=10, score_dist_normal=(2.0, bad))
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed"):
+            SynthConfig(n_users=10, seed=-1)
+
     def test_bad_ambiguity_rejected(self):
         with pytest.raises(InputError):
             SynthConfig(n_users=10, ambiguity=1.2)
