@@ -213,6 +213,7 @@ def _parse_thresholds(text: str) -> list[int]:
 
 
 def cmd_eval(args) -> int:
+    diffusion = _diffusion_config(args)  # validated in every mode, used by degroot
     dataset = _load_dataset(args)
     report = cross_validate(
         dataset,
@@ -224,7 +225,7 @@ def cmd_eval(args) -> int:
             seed=args.seed,
             select_threshold=args.select_threshold,
         ),
-        diffusion=_diffusion_config(args) if args.mode == "degroot" else None,
+        diffusion=diffusion if args.mode == "degroot" else None,
     )
     report.config = {
         **_io_echo(args, "edges", "scores", "labels"),

@@ -48,6 +48,10 @@ METRIC_NAMES = ("precision", "recall", "f1", "roc_auc")
 _MAX_ITERS = 10_000
 _GRAD_TOL = 1e-7
 
+# glibc's cexp rescales a real part above (DBL_MAX_EXP - 1) * ln 2 ~ 709.08,
+# and its result then leaves libm exp's bits; such elements take math.exp
+_CEXP_EXACT_MAX = 709.0
+
 
 @dataclass
 class LearnConfig:
@@ -95,6 +99,32 @@ class LogRegModel:
         }
 
 
+def _libm_exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def expit(z: np.ndarray | float) -> np.ndarray | np.float64:
+    """The logistic sigmoid ``1 / (1 + exp(-z))``, elementwise, as float64.
+
+    On glibc, bit-identical to ``scipy.special.expit``, which takes the C
+    library's ``exp``. numpy's float64 ``exp`` is its own SIMD kernel and
+    differs from that in the last bit for some inputs; numpy's complex128
+    ``exp`` calls the C library's ``cexp``, whose real part at a zero
+    imaginary part is ``exp(x) * cos(0)``, i.e. ``exp(x)`` itself. NaN in
+    gives NaN out.
+    """
+    t = np.negative(np.asarray(z, dtype=np.float64))
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = np.atleast_1d(np.exp(t.astype(np.complex128)).real)
+    big = np.flatnonzero(t > _CEXP_EXACT_MAX)
+    if big.size:
+        e.flat[big] = [_libm_exp(x) for x in t.flat[big]]
+    return (1.0 / (1.0 + e)).reshape(t.shape)[()]
+
+
 def loss_and_gradient(
     X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, lam: float
 ) -> tuple[float, np.ndarray, float]:
@@ -103,8 +133,6 @@ def loss_and_gradient(
     The NLL term is the mean over examples; the L2 penalty applies to the
     weights only, never the bias.
     """
-    from scipy.special import expit  # deferred: commands that never fit skip its import
-
     z = X @ w + b
     n = len(y)
     # log(1 + e^z) - y z, evaluated stably
@@ -191,8 +219,6 @@ def train_logreg(
 
 def predict_proba(model: LogRegModel, x: np.ndarray) -> np.ndarray | float:
     """Sigmoid score(s) for one feature row or a matrix of rows."""
-    from scipy.special import expit
-
     x = np.asarray(x, dtype=np.float64)
     if x.shape[-1] != len(model.weights):
         raise InputError(
@@ -219,6 +245,8 @@ def stratified_kfold(
         raise InputError("k must be >= 2")
     if k > n:
         raise InputError(f"cannot split {n} examples into {k} folds")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     folds: list[list[np.ndarray]] = [[] for _ in range(k)]
     for cls in np.unique(y):

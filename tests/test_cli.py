@@ -419,8 +419,12 @@ class TestEval:
             (["--l2-lambda", "nan"], "l2_lambda"),
             (["--l2-lambda", "inf"], "l2_lambda"),
             (["--mode", "degroot", "--tol", "nan"], "tol"),
+            # DeGroot settings are validated in every mode, not only degroot
+            (["--mode", "fixed", "--tol", "nan"], "tol"),
+            (["--mode", "multimodal", "--max-iters", "0"], "max_iters"),
         ],
-        ids=["negative-seed", "nan-l2", "inf-l2", "nan-tol"],
+        ids=["negative-seed", "nan-l2", "inf-l2", "nan-tol", "fixed-nan-tol",
+             "multimodal-zero-max-iters"],
     )
     def test_bad_settings_exit_2(self, synth_dir, tmp_path, capsys, flags, key):
         out = tmp_path / "x.json"

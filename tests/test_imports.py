@@ -1,11 +1,14 @@
-"""Each command imports only the scipy submodules its kernels use.
+"""No command imports scipy.
 
-Only the logistic commands need scipy (``scipy.special.expit``); the graph
-kernels and the diffusion are numpy.
+The library is numpy only: the graph kernels, the diffusion and the logistic
+sigmoid (``hateagg.learn.expit``) are numpy, so scipy is a test-only
+reference, not a runtime dependency.
 
-Every CLI call is a fresh process, so a module-level scipy import is paid
-on every command. These tests run each command in a fresh interpreter and
-read which ``scipy`` modules it left in ``sys.modules``.
+Every CLI call is a fresh process, so a module-level scipy import would be
+paid on every command. These tests run each command in a fresh interpreter
+and read which ``scipy`` modules it left in ``sys.modules``. A second probe
+makes ``import scipy`` fail in that interpreter and checks that the
+commands that fit a model still run.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ SRC = str(Path(hateagg.__file__).resolve().parent.parent)
 
 PROBE = """
 import json, sys
+if sys.argv[2] == "poison":
+    sys.modules["scipy"] = None  # any scipy import now raises ImportError
 from hateagg.cli import main
 argv = json.loads(sys.argv[1])
 code = main(argv) if argv else 0
@@ -35,12 +40,12 @@ print(json.dumps({
 """
 
 
-def scipy_modules(*argv: str) -> set[str]:
-    """Run ``hateagg`` with ``argv`` in a fresh interpreter; its scipy modules."""
+def probe(argv: list[str], mode: str) -> dict:
+    """Run ``hateagg`` with ``argv`` in a fresh interpreter; its exit code and scipy modules."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(list(argv))],
+        [sys.executable, "-c", PROBE, json.dumps(argv), mode],
         capture_output=True,
         text=True,
         env=env,
@@ -49,11 +54,11 @@ def scipy_modules(*argv: str) -> set[str]:
     )
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["code"] == 0, proc.stderr
-    return set(result["scipy"])
+    return result
 
 
-def loaded(modules: set[str], package: str) -> bool:
-    return any(m == package or m.startswith(package + ".") for m in modules)
+def scipy_modules(*argv: str) -> set[str]:
+    return set(probe(list(argv), "plain")["scipy"])
 
 
 SYNTH = [
@@ -85,8 +90,9 @@ def test_importing_the_cli_loads_no_scipy():
         ["features", "--mode", "multimodal"],
         ["diffuse"],
         ["eval", "--mode", "degroot"],
+        ["sweep"],
     ],
-    ids=["features", "diffuse", "eval-degroot"],
+    ids=["features", "diffuse", "eval-degroot", "sweep"],
 )
 def test_commands_without_scipy_kernels_load_none(inputs, command):
     out, flags = inputs
@@ -97,15 +103,21 @@ def test_synth_loads_no_scipy(tmp_path):
     assert scipy_modules(*SYNTH, "--out-dir", str(tmp_path)) == set()
 
 
-@pytest.mark.parametrize(
+LOGISTIC = pytest.mark.parametrize(
     "command", [["train"], ["eval", "--mode", "multimodal"]], ids=["train", "eval"]
 )
-def test_logistic_commands_load_only_special(inputs, command):
+
+
+@LOGISTIC
+def test_logistic_commands_load_no_scipy(inputs, command):
     out, flags = inputs
-    modules = scipy_modules(*command, *flags, "--out", str(out / "o"))
-    assert loaded(modules, "scipy.special")
-    assert not loaded(modules, "scipy.stats")
-    assert not loaded(modules, "scipy.sparse")
+    assert scipy_modules(*command, *flags, "--out", str(out / "o")) == set()
+
+
+@LOGISTIC
+def test_logistic_commands_run_without_scipy(inputs, command):
+    out, flags = inputs
+    assert probe([*command, *flags, "--out", str(out / "o")], "poison")["code"] == 0
 
 
 @pytest.mark.parametrize(

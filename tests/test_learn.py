@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import time
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.special import expit as scipy_expit
 from scipy.stats import rankdata
 
 from hateagg import (
@@ -26,7 +28,7 @@ from hateagg import (
     train_logreg,
 )
 from hateagg import learn
-from hateagg.learn import _average_ranks, _best_f1_threshold
+from hateagg.learn import _average_ranks, _best_f1_threshold, expit
 
 from conftest import make_dataset, random_dataset
 from oracles import (
@@ -246,6 +248,63 @@ class TestPredictProba:
             predict_proba(model, np.array([1.0]))
 
 
+def expit_checked(z):
+    """``expit(z)`` with any warning raised as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return expit(z)
+
+
+class TestExpit:
+    """``scipy.special.expit`` is the oracle, bit for bit; ``src/`` never imports it."""
+
+    def assert_bits_match(self, z):
+        got, want = expit_checked(z), scipy_expit(z)
+        assert type(got) is type(want)
+        assert np.shape(got) == np.shape(want)
+        got_bits = np.asarray(got).view(np.uint64)
+        want_bits = np.asarray(want).view(np.uint64)
+        mismatched = np.flatnonzero(got_bits != want_bits)
+        assert mismatched.size == 0, np.asarray(z).ravel()[mismatched[:5]]
+
+    def test_normal_draws(self):
+        rng = np.random.default_rng(11)
+        self.assert_bits_match(rng.normal(0.0, 4.0, 200_000))
+        self.assert_bits_match(rng.normal(0.0, 400.0, 200_000))
+
+    def test_signed_zeros_infinities_and_extremes(self):
+        self.assert_bits_match(
+            np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 1e308, -1e308, 5e-324])
+        )
+
+    def test_band_where_cexp_rescales(self):
+        # -z in (709, 709.79]: libm exp is finite there, glibc cexp rescales
+        band = np.linspace(709.0, 709.79, 100_001)
+        self.assert_bits_match(-band)
+        self.assert_bits_match(band)
+
+    def test_overflow_region(self):
+        self.assert_bits_match(-np.linspace(709.78, 760.0, 10_001))
+
+    def test_subnormal_results(self):
+        z = -np.linspace(708.4, 709.78, 10_001)
+        out = expit_checked(z)
+        assert np.all((out > 0) & (out < np.finfo(np.float64).tiny))
+        self.assert_bits_match(z)
+
+    def test_zero_dimensional_and_scalar_input(self):
+        for value in (2.0, -3.5, -709.5, -710.0, 0.0):
+            self.assert_bits_match(np.array(value))
+            self.assert_bits_match(value)
+
+    def test_nan_in_gives_nan_out(self):
+        assert np.isnan(expit_checked(np.nan))
+        out = expit_checked(np.array([[np.nan, 1.0], [-709.5, np.nan]]))
+        assert np.array_equal(np.isnan(out), [[True, False], [False, True]])
+        assert out[0, 1] == scipy_expit(1.0)
+        assert out[1, 0] == scipy_expit(-709.5)
+
+
 class TestStratifiedKfold:
     def test_balanced_classes_split_evenly(self):
         y = np.array([1] * 5 + [0] * 5)
@@ -287,6 +346,10 @@ class TestStratifiedKfold:
             stratified_kfold(y, 1, seed=0)
         with pytest.raises(InputError):
             stratified_kfold(y, 5, seed=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InputError, match="seed"):
+            stratified_kfold([0, 1, 0, 1], 2, -1)
 
 
 class TestMetrics:
