@@ -76,18 +76,32 @@ def degroot_init(
 
 
 def degroot_step(
-    graph: SocialGraph, values: np.ndarray, direction: str = "out"
+    graph: SocialGraph,
+    values: np.ndarray,
+    direction: str = "out",
+    buffers: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """One self-inclusive averaging step over the chosen neighbor set.
 
     Evaluated in residual form b + sum(b_v - b_u) / (1 + deg) so a constant
-    belief vector reproduces itself bit for bit. An unknown direction fails
-    in the graph's view lookup.
+    belief vector reproduces itself bit for bit; the subtraction happens per
+    edge, so it yields exact zeros rather than accumulated rounding.
+    ``buffers`` are two float64 arrays with one slot per edge of the view,
+    overwritten by the step; ``degroot_run`` hands the same pair to every
+    step, so no step allocates per edge. An unknown direction fails in the
+    graph's view lookup.
     """
     if len(values) != graph.node_count:
         raise InputError("belief vector length does not match graph")
-    deltas = graph.neighbor_delta_sums(values, direction)
-    return values + deltas / (1.0 + graph.degrees(direction))
+    values = np.asarray(values, dtype=np.float64)
+    indices, rows, scale = graph.step_arrays(direction)
+    if buffers is None:
+        buffers = (np.empty(len(indices)), np.empty(len(indices)))
+    deltas, own = buffers
+    # mode="clip" writes straight into out=; the default mode buffers it
+    values.take(indices, out=deltas, mode="clip")
+    deltas -= values.take(rows, out=own, mode="clip")
+    return values + np.bincount(rows, weights=deltas, minlength=graph.node_count) / scale
 
 
 def degroot_run(
@@ -101,9 +115,11 @@ def degroot_run(
     {"iteration": i, "max_change": c}; the step count is ``len(log)``.
     """
     config = config or DiffusionConfig()
+    edges = len(graph.step_arrays(config.direction)[0])
+    buffers = (np.empty(edges), np.empty(edges))
     log: list[dict] = []
     for i in range(1, config.max_iters + 1):
-        nxt = degroot_step(graph, values, config.direction)
+        nxt = degroot_step(graph, values, config.direction, buffers)
         change = float(np.max(np.abs(nxt - values))) if len(values) else 0.0
         log.append({"iteration": i, "max_change": change})
         values = nxt

@@ -164,7 +164,7 @@ class SocialGraph:
         self.in_indptr, self.in_indices = _csr(dst, src, n)
         self._und: tuple[np.ndarray, np.ndarray] | None = None
         self._components: tuple[int, np.ndarray] | None = None
-        self._rows_of: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._step_of: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     # -- basic shape -------------------------------------------------------
 
@@ -251,23 +251,19 @@ class SocialGraph:
             return self.undirected_csr()
         raise InputError(f"unknown direction {direction!r}")
 
-    def _rows(self, direction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indices, row_of_entry, degrees) of a view, cached for the diffusion step.
+    def step_arrays(self, direction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indices, row_of_entry, 1 + degree) of a view, cached for the DeGroot step.
 
         Indices and rows are kept as ``intp``, so the gathers of every step
         index without a conversion.
         """
-        cached = self._rows_of.get(direction)
+        cached = self._step_of.get(direction)
         if cached is None:
             indptr, indices = self._view(direction)
             deg = np.diff(indptr)
             rows = np.repeat(np.arange(self.node_count, dtype=np.intp), deg)
-            cached = self._rows_of[direction] = indices.astype(np.intp), rows, deg
+            cached = self._step_of[direction] = indices.astype(np.intp), rows, 1.0 + deg
         return cached
-
-    def degrees(self, direction: str) -> np.ndarray:
-        """Neighbor count of each node in the given direction (cached)."""
-        return self._rows(direction)[2]
 
     def neighbor_sums(self, values: np.ndarray, direction: str) -> np.ndarray:
         """Per-node sum of ``values`` over neighbors in the given direction.
@@ -281,19 +277,6 @@ class SocialGraph:
             return np.zeros(self.node_count, dtype=np.float64)
         rows = np.repeat(np.arange(self.node_count, dtype=np.intp), np.diff(indptr))
         return np.bincount(rows, weights=values.take(indices), minlength=self.node_count)
-
-    def neighbor_delta_sums(self, values: np.ndarray, direction: str) -> np.ndarray:
-        """Per-node sum of ``values[v] - values[u]`` over neighbors v of u.
-
-        The subtraction happens per edge, so a constant input yields exact
-        zeros rather than accumulated rounding.
-        """
-        indices, rows, deg = self._rows(direction)
-        if len(indices) == 0:
-            return np.zeros(self.node_count, dtype=np.float64)
-        deltas = values.take(indices)
-        deltas -= np.repeat(values, deg)
-        return np.bincount(rows, weights=deltas, minlength=self.node_count)
 
 
 class ComponentCounts(NamedTuple):

@@ -8,8 +8,18 @@ File formats (UTF-8 text, no headers):
   kept only for diagnostics.
 * labels: ``user_id,label`` per line, label in {0, 1}; 1 marks a hate-monger.
 
-Blank lines are skipped everywhere. Scores are produced upstream by whatever
-utterance model the deployment uses; this package never sees text.
+Blank lines are skipped everywhere, and surrounding whitespace is stripped
+from lines and ids. Scores are produced upstream by whatever utterance model
+the deployment uses; this package never sees text.
+
+The parsers read ``_BLOCK_CHARS`` characters at a time, cut at a line end. A
+bare block, which no ``strip`` would change, is tokenized on its UTF-8 bytes
+with numpy: the separators are found in one pass, ids are deduplicated on
+packed integer keys, and only the block's distinct ids become Python strings
+(``_BareBlock``). Other blocks go through the per-line ``strip`` path
+(``_checked_lines``). Both feed the same bulk checks, and a block that fails
+one is re-read line by line (``_rescan_*``) to raise the first bad line's
+error, so messages and line numbers are those of a line-by-line parse.
 """
 
 from __future__ import annotations
@@ -20,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import InputError
 from .graph import EdgeList, SocialGraph, extend_ids, intern_ids, largest_wcc
@@ -40,15 +51,20 @@ __all__ = [
 ]
 
 
-# characters read per block: only one block's lines and tokens are alive at once
-_BLOCK_CHARS = 1 << 18
+# characters read per block: only one block's text, offsets and tokens are alive at once
+_BLOCK_CHARS = 1 << 20
+# ids of up to this many 8-byte words are told apart by packed integer keys
+_KEY_WORDS = 8
+# _KEY_MASKS[r] keeps the first r bytes of a little-endian 8-byte word
+_KEY_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 
 
-def _line_blocks(stream: IO[str] | str) -> Iterator[tuple[int, list[str]]]:
-    """Yield (number of the first line, raw lines without their newline) per block.
+def _text_blocks(stream: IO[str] | str) -> Iterator[tuple[int, str]]:
+    """Yield (number of the first line, whole lines each ending in a newline) per block.
 
     Lines split where iterating the stream would split them, so line numbers
-    match ``enumerate(stream, start=1)``.
+    match ``enumerate(stream, start=1)``. A last line without a newline gets
+    one.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
@@ -63,13 +79,137 @@ def _line_blocks(stream: IO[str] | str) -> Iterator[tuple[int, list[str]]]:
                 continue
             text = "".join(pending)  # end of stream: a last line without newline
             if text:
-                yield lineno, [text]
+                yield lineno, text + "\n"
             return
-        pending.append(chunk[:cut])
-        lines = "".join(pending).split("\n")
+        pending.append(chunk[: cut + 1])
+        text = "".join(pending)
         pending = [chunk[cut + 1 :]]
-        yield lineno, lines
-        lineno += len(lines)
+        yield lineno, text
+        lineno += text.count("\n")
+
+
+def _raw_lines(text: str) -> list[str]:
+    """The lines of a block, without their newlines."""
+    return text[:-1].split("\n")
+
+
+class _BareBlock:
+    """A block that needs no normalizing, held as byte offsets into its UTF-8 text.
+
+    Field ``k`` of line ``i`` is ``data[starts[i, k]:ends[i, k]]``, and
+    ``ends[i, k]`` is the comma or newline after it. Ids are deduplicated on
+    packed integer keys, so only a block's distinct ids become Python
+    strings.
+    """
+
+    def __init__(self, data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
+        self.data, self.starts, self.ends = data, starts, ends
+
+    @classmethod
+    def of(cls, text: str, fields: int, comments: bool) -> "_BareBlock | None":
+        """The block as offsets, or None unless it is bare.
+
+        Bare: no line needs ``strip`` and every line holds ``fields``
+        non-empty fields (with ``comments``, no line starts with ``#``). The
+        only whitespace ``str.strip`` removes that is printable is the
+        space, so a block whose bytes are printable ASCII or newlines, or
+        whose text is printable apart from its newlines, strips to itself.
+        """
+        if not text.isascii() and not text.replace("\n", ",").isprintable():
+            return None
+        data = np.frombuffer(text.encode(), dtype=np.uint8)
+        sep = np.flatnonzero((data == 0x2C) | (data == 0x0A))
+        lines, rest = divmod(len(sep), fields)
+        if rest or not np.all(data[sep[fields - 1 :: fields]] == 0x0A):
+            return None
+        # the newlines closing the lines are the only space or control bytes
+        if np.count_nonzero((data < 0x21) | (data == 0x7F)) != lines:
+            return None
+        starts = np.empty_like(sep)
+        starts[0] = 0
+        starts[1:] = sep[:-1] + 1
+        starts, ends = starts.reshape(lines, fields), sep.reshape(lines, fields)
+        if np.any(starts == ends) or (comments and np.any(data[starts[:, 0]] == 0x23)):
+            return None
+        return cls(data, starts, ends)
+
+    def _strings(self, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+        # keep each field and the separator after it, make every separator a
+        # newline and split once: one C-level split builds all the strings
+        bounds = np.zeros(len(self.data) + 1, dtype=np.int8)
+        bounds[starts] = 1
+        bounds[ends + 1] -= 1
+        kept = self.data[np.cumsum(bounds[:-1], dtype=np.int8).view(bool)]
+        kept[kept == 0x2C] = 0x0A
+        return kept[:-1].tobytes().decode().split("\n")
+
+    def strings(self, column: int) -> list[str]:
+        """Field ``column`` of every line."""
+        return self._strings(self.starts[:, column], self.ends[:, column])
+
+    def ids(self, index: dict, ids: list, column: int | None = None) -> np.ndarray:
+        """Interned codes of field ``column`` (None: every field) in line order.
+
+        An id of up to ``_KEY_WORDS`` words is read through an 8-byte window
+        per word, masked to its length (no bare id holds a zero byte, so the
+        zero fill tells no two apart); one sort finds the block's distinct
+        ids, and only those, in first-seen order, are interned. A block
+        holding a longer id, or whose keys would outgrow 8 bytes per byte of
+        the block, interns every field instead.
+        """
+        starts = (self.starts if column is None else self.starts[:, column]).ravel()
+        ends = (self.ends if column is None else self.ends[:, column]).ravel()
+        lengths = ends - starts
+        words = (int(lengths.max()) + 7) // 8
+        if words > _KEY_WORDS or words * len(starts) > len(self.data):
+            return intern_ids(self._strings(starts, ends), index, ids)
+        pad = np.zeros(len(self.data) + 8 * _KEY_WORDS, dtype=np.uint8)
+        pad[: len(self.data)] = self.data
+        windows = as_strided(pad, (len(pad) - 7, 8), (1, 1), writeable=False)
+        keys = [
+            windows[starts + 8 * j].view("<u8")[:, 0] & _KEY_MASKS[np.clip(lengths - 8 * j, 0, 8)]
+            for j in range(words)
+        ]
+        first, inverse = _first_seen(keys)
+        return intern_ids(self._strings(starts[first], ends[first]), index, ids)[inverse]
+
+
+class _SplitBlock:
+    """A block's fields as Python strings, after the per-line ``strip`` path."""
+
+    def __init__(self, tokens: list[str], fields: int):
+        self.tokens, self.fields = tokens, fields
+
+    def strings(self, column: int) -> list[str]:
+        """Field ``column`` of every line, as split (float and int skip whitespace)."""
+        return self.tokens[column :: self.fields]
+
+    def ids(self, index: dict, ids: list, column: int | None = None) -> np.ndarray:
+        """Interned codes of field ``column`` (None: every field), stripped, in line order."""
+        tokens = self.tokens if column is None else self.strings(column)
+        return intern_ids(list(map(str.strip, tokens)), index, ids)
+
+
+def _first_seen(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(first position of each distinct row, ascending; distinct number of each row).
+
+    Row ``i`` is ``(keys[0][i], keys[1][i], ...)``; distinct rows are
+    numbered in the order of their first positions.
+    """
+    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
+    head = np.zeros(len(order), dtype=bool)
+    head[0] = True
+    for key in keys:
+        ranked = key[order]
+        head[1:] |= ranked[1:] != ranked[:-1]
+    heads = np.flatnonzero(head)
+    first = np.minimum.reduceat(order, heads)
+    by_first = np.argsort(first)
+    number = np.empty(len(heads), dtype=np.intp)
+    number[by_first] = np.arange(len(heads))
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = number[np.cumsum(head) - 1]
+    return first[by_first], inverse
 
 
 def _checked_lines(raw: list[str], fields: int, comments: bool) -> list[str] | None:
@@ -82,6 +222,20 @@ def _checked_lines(raw: list[str], fields: int, comments: bool) -> list[str] | N
     return lines
 
 
+def _fields(text: str, fields: int, comments: bool) -> _BareBlock | _SplitBlock | None:
+    """A block's fields: bare blocks as offsets, others through ``_checked_lines``.
+
+    None when some line does not hold ``fields`` fields.
+    """
+    bare = _BareBlock.of(text, fields, comments)
+    if bare is not None:
+        return bare
+    lines = _checked_lines(_raw_lines(text), fields, comments)
+    if lines is None:
+        return None
+    return _SplitBlock(",".join(lines).split(",") if lines else [], fields)
+
+
 def read_edges(stream: IO[str] | str) -> EdgeList:
     """Parse an edge file into interned (follower, followee) edges, one per edge line.
 
@@ -92,24 +246,23 @@ def read_edges(stream: IO[str] | str) -> EdgeList:
     ids: list[str] = []
     index: dict[str, int] = {}
     srcs, dsts = [], []
-    for first, raw in _line_blocks(stream):
-        lines = _checked_lines(raw, 2, comments=True)
-        if lines is None:
-            _rescan_edges(first, raw)
-        tokens = list(map(str.strip, ",".join(lines).split(","))) if lines else []
-        codes = intern_ids(tokens, index, ids)
+    for first, text in _text_blocks(stream):
+        block = _fields(text, 2, comments=True)
+        if block is None:
+            _rescan_edges(first, text)
+        codes = block.ids(index, ids)
         src, dst = codes[0::2], codes[1::2]
         if "" in index or np.any(src == dst):
-            _rescan_edges(first, raw)
+            _rescan_edges(first, text)
         srcs.append(src)
         dsts.append(dst)
     empty = np.zeros(0, dtype=np.int64)
     return EdgeList(ids, index, np.concatenate([empty, *srcs]), np.concatenate([empty, *dsts]))
 
 
-def _rescan_edges(first: int, raw: list[str]) -> None:
+def _rescan_edges(first: int, text: str) -> None:
     """Raise the error of the first bad line in a block that failed a bulk check."""
-    for lineno, line in enumerate(map(str.strip, raw), start=first):
+    for lineno, line in enumerate(map(str.strip, _raw_lines(text)), start=first):
         if not line or line.startswith("#"):
             continue
         parts = line.split(",")
@@ -210,20 +363,20 @@ def parse_scores(stream: IO[str] | str) -> ScoreTable:
     users: list[str] = []
     index: dict[str, int] = {}
     codes, values = [], []
-    for first, raw in _line_blocks(stream):
-        lines = _checked_lines(raw, 3, comments=False)
-        if lines is None:
-            _rescan_scores(first, raw)
-        tokens = ",".join(lines).split(",") if lines else []
+    for first, text in _text_blocks(stream):
+        block = _fields(text, 3, comments=False)
+        if block is None:
+            _rescan_scores(first, text)
+        scores = block.strings(2)
         try:
-            block = np.fromiter(map(float, tokens[2::3]), dtype=np.float64, count=len(lines))
+            value = np.fromiter(map(float, scores), dtype=np.float64, count=len(scores))
         except ValueError:
-            _rescan_scores(first, raw)
-        code = intern_ids(list(map(str.strip, tokens[0::3])), index, users)
-        if "" in index or not np.all((block >= 0.0) & (block <= 1.0)):
-            _rescan_scores(first, raw)
+            _rescan_scores(first, text)
+        code = block.ids(index, users, 0)
+        if "" in index or not np.all((value >= 0.0) & (value <= 1.0)):
+            _rescan_scores(first, text)
         codes.append(code)
-        values.append(block)
+        values.append(value)
     code = np.concatenate([np.zeros(0, dtype=np.int64), *codes])
     # group rows by user; the stable sort keeps file order within each user
     order = np.argsort(code, kind="stable")
@@ -232,9 +385,9 @@ def parse_scores(stream: IO[str] | str) -> ScoreTable:
     return ScoreTable(users, offsets, np.concatenate([np.zeros(0), *values])[order], index)
 
 
-def _rescan_scores(first: int, raw: list[str]) -> None:
+def _rescan_scores(first: int, text: str) -> None:
     """Raise the error of the first bad line in a block that failed a bulk check."""
-    for lineno, line in enumerate(map(str.strip, raw), start=first):
+    for lineno, line in enumerate(map(str.strip, _raw_lines(text)), start=first):
         if not line:
             continue
         parts = line.split(",")
@@ -251,13 +404,6 @@ def _rescan_scores(first: int, raw: list[str]) -> None:
         if not (0.0 <= score <= 1.0):
             raise InputError(f"scores line {lineno}: score {score} outside [0, 1]")
     raise AssertionError("a bulk score check failed but no line is bad")
-
-
-def _lines(stream: IO[str] | str) -> Iterator[tuple[int, str]]:
-    for first, raw in _line_blocks(stream):
-        for lineno, line in enumerate(map(str.strip, raw), start=first):
-            if line:
-                yield lineno, line
 
 
 class LabelSet:
@@ -296,8 +442,48 @@ class LabelSet:
 
 def parse_labels(stream: IO[str] | str) -> LabelSet:
     """Parse a label file; consistent duplicates are tolerated."""
+    users: list[str] = []
+    index: dict[str, int] = {}
+    known = np.zeros(0, dtype=np.int64)  # each user's first label, by code
+    # label texts are interned like ids, so int() reads each distinct text once
+    texts: list[str] = []
+    text_index: dict[str, int] = {}
+    text_label = np.zeros(0, dtype=np.int64)
+    for first, text in _text_blocks(stream):
+        base = len(users)
+        block = _fields(text, 2, comments=False)
+        if block is None:
+            _rescan_labels(first, text, users[:base], known)
+        code = block.ids(index, users, 0)
+        text_code = block.ids(text_index, texts, 1)
+        try:
+            values = list(map(int, texts[len(text_label) :]))
+        except ValueError:
+            _rescan_labels(first, text, users[:base], known)
+        if "" in index or not set(values) <= {0, 1}:
+            _rescan_labels(first, text, users[:base], known)
+        text_label = np.concatenate([text_label, np.array(values, dtype=np.int64)])
+        label = text_label[text_code]
+        # new users are numbered in first-seen order, so a row holds a new
+        # user's first label where its code exceeds every code before it
+        seen = np.maximum.accumulate(np.concatenate([[base - 1], code]))
+        prior, known = known, np.concatenate([known, label[code > seen[:-1]]])
+        if np.any(known[code] != label):
+            _rescan_labels(first, text, users[:base], prior)
     labels = LabelSet()
-    for lineno, line in _lines(stream):
+    labels._labels = dict(zip(users, known.tolist()))  # every label checked above
+    return labels
+
+
+def _rescan_labels(first: int, text: str, users: list[str], known: np.ndarray) -> None:
+    """Raise the error of the first bad line in a block that failed a bulk check.
+
+    ``users`` and their labels ``known`` are those of the blocks before.
+    """
+    labels = LabelSet(dict(zip(users, known.tolist())))
+    for lineno, line in enumerate(map(str.strip, _raw_lines(text)), start=first):
+        if not line:
+            continue
         parts = line.split(",")
         if len(parts) != 2:
             raise InputError(
@@ -314,7 +500,7 @@ def parse_labels(stream: IO[str] | str) -> LabelSet:
             labels.set(user, label)
         except InputError as exc:
             raise InputError(f"labels line {lineno}: {exc}")
-    return labels
+    raise AssertionError("a bulk label check failed but no line is bad")
 
 
 @dataclass

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import os
+
 import numpy as np
 from hypothesis import HealthCheck, settings
 
@@ -18,7 +20,13 @@ settings.register_profile(
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
-settings.load_profile("suite")
+# HYPOTHESIS_PROFILE=ci runs the parser oracle tests deeper and prints the
+# blob that replays a failing example; the default keeps a local run fast
+settings.register_profile("ci", settings.get_profile("suite"), print_blob=True)
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "suite")
+settings.load_profile(PROFILE)
+# examples per parser oracle test
+PARSER_EXAMPLES = 1000 if PROFILE == "ci" else 60
 
 
 def make_dataset(

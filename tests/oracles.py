@@ -87,6 +87,29 @@ def naive_parse_scores(stream) -> dict[str, list[float]]:
     return table
 
 
+def naive_parse_labels(stream) -> dict[str, int]:
+    """Label file -> {user: label}, users in first-seen order."""
+    labels: dict[str, int] = {}
+    for lineno, line in _numbered_lines(stream):
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise InputError(f"labels line {lineno}: expected 'user_id,label', got {line!r}")
+        user = parts[0].strip()
+        if not user:
+            raise InputError(f"labels line {lineno}: empty user id")
+        try:
+            label = int(parts[1])
+        except ValueError:
+            raise InputError(f"labels line {lineno}: non-integer label {parts[1]!r}")
+        if label not in (0, 1):
+            raise InputError(f"labels line {lineno}: label must be 0 or 1, got {label}")
+        if labels.setdefault(user, label) != label:
+            raise InputError(
+                f"labels line {lineno}: conflicting labels for {user!r}: {labels[user]} vs {label}"
+            )
+    return labels
+
+
 def naive_build_graph(edge_pairs, isolated_ids=()) -> tuple[list, np.ndarray, np.ndarray]:
     """(ids, src codes, dst codes): ids numbered per pair in first-seen order."""
     ids: list = []
@@ -534,7 +557,7 @@ def fd_gradient(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def gather_delta_sums(g, values: np.ndarray, direction: str) -> np.ndarray:
     """Per-node sum of ``values[v] - values[u]``: gather both ends, then bincount.
 
-    The library's previous form of ``neighbor_delta_sums``, with int32 row
+    The previous form of the DeGroot step's delta sum, with int32 row
     ids rebuilt from the CSR on every call.
     """
     if direction == "out":

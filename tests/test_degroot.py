@@ -137,7 +137,37 @@ class TestStep:
                 assert got.tobytes() == want.tobytes()
 
 
+def stepped(g, values, config):
+    """``degroot_run`` as a plain loop of ``degroot_step`` calls, each allocating."""
+    log = []
+    for i in range(1, config.max_iters + 1):
+        nxt = degroot_step(g, values, config.direction)
+        change = float(np.max(np.abs(nxt - values))) if len(values) else 0.0
+        log.append({"iteration": i, "max_change": change})
+        values = nxt
+        if change < config.tol:
+            break
+    return values, log
+
+
 class TestRun:
+    @pytest.mark.parametrize("direction", ["out", "in", "undirected"])
+    def test_bit_identical_to_a_loop_of_steps(self, direction):
+        rng = np.random.default_rng(29)
+        none = np.zeros(0, dtype=np.int64)
+        graphs = [random_dataset(rng, max_users=80, max_posts=3).graph for _ in range(3)]
+        graphs.append(SocialGraph(["a", "b", "c"], none, none))  # no edges
+        for g in graphs:
+            start = rng.random(g.node_count)
+            kept = start.copy()
+            for max_iters, tol in ((1, 1e-6), (30, 1e-300), (200, 1e-4)):
+                config = DiffusionConfig(direction=direction, max_iters=max_iters, tol=tol)
+                got, log = degroot_run(g, start, config)
+                want, want_log = stepped(g, start, config)
+                assert got.tobytes() == want.tobytes()
+                assert log == want_log
+                assert start.tobytes() == kept.tobytes()
+
     def test_mutual_pair_converges_to_mean(self):
         g = two_node_graph()
         final, log = degroot_run(g, beliefs([1.0, 0.0]), DiffusionConfig(tol=1e-9))

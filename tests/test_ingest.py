@@ -26,11 +26,13 @@ from hateagg import (
     write_scores,
 )
 
+from conftest import PARSER_EXAMPLES
 from oracles import (
     lexsort_csr,
     naive_bind,
     naive_build_graph,
     naive_feature_matrix,
+    naive_parse_labels,
     naive_parse_scores,
     naive_read_edges,
     naive_write_edges,
@@ -289,6 +291,21 @@ def score_line(draw, bad: bool):
     return draw(st.sampled_from(good + broken if bad else good))
 
 
+LABEL_OF = {u: ("0", "1")[i % 2] for i, u in enumerate(IDS)}
+SPELLED = {"0": ["0", "00", "٠", " 0 "], "1": ["1", "+1", "١", "1 "]}  # int() reads them all
+
+
+@st.composite
+def label_line(draw, bad: bool):
+    u = draw(st.sampled_from(IDS))  # "#h" is a plain id in a label file
+    label = draw(st.sampled_from(SPELLED[LABEL_OF[u]]))
+    good = [f"{draw(PAD)}{u}{draw(PAD)},{label}", draw(PAD)]
+    flipped = "1" if LABEL_OF[u] == "0" else "0"
+    broken = [u, f"{u},1,x", " ,1", f",{label}", f"{u},2", f"{u},-1", f"{u},x", f"{u},",
+              f"{u},1.0", f"{u},{flipped}"]
+    return draw(st.sampled_from(good + broken if bad else good))
+
+
 @st.composite
 def text_file(draw, line):
     bad = draw(st.booleans())
@@ -296,7 +313,43 @@ def text_file(draw, line):
     text = "".join(f"{body}{draw(ENDS)}" for body in lines)
     if lines and draw(st.booleans()):
         text = text[: len(text) - 1]  # last line without its newline
-    return draw(st.sampled_from(["", "﻿"])) + text
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+# ids that need no strip: printable, no space or comma, 1-100 UTF-8 bytes,
+# multibyte characters and '#' inside; the "x" runs share prefixes across
+# the 8-byte words of a packed key
+BARE_ID = st.one_of(
+    st.sampled_from(["a", "b", "u1", "a#", "#h", "ü", "名前"]),
+    st.builds(lambda n, c: "x" * n + c, st.integers(0, 99), st.sampled_from("abé#")),
+    st.text(
+        st.characters(min_codepoint=0x21).filter(lambda c: c.isprintable() and c != ","),
+        min_size=1,
+        max_size=25,
+    ).filter(lambda s: len(s.encode()) <= 100),
+)
+BARE_SCORES = ["0", "1", "0.5", ".25", "1e-3", "0.1234567890123", "١", "٠.٥"]
+
+
+@st.composite
+def bare_file(draw, kind: str):
+    """A whitespace-free file: few distinct ids, so most lines repeat one."""
+    pool = draw(st.lists(BARE_ID, min_size=2, max_size=6, unique=True))
+    bad = draw(st.booleans())
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        u, v = draw(st.sampled_from(pool)), draw(st.sampled_from(pool))
+        if kind == "edges":
+            lines.append(f"{u},{v}" if u != v or bad else f"{u},{v}z")
+        elif kind == "scores":
+            score = draw(st.sampled_from(BARE_SCORES + (["high", "1.5", "nan"] if bad else [])))
+            lines.append(f"{u},{v},{score}")
+        else:
+            label = "01"[pool.index(u) % 2]
+            lines.append(f"{u},{draw(st.sampled_from(['2', '1' if label == '0' else '0']))}"
+                         if bad and draw(st.booleans()) else f"{u},{label}")
+    text = "".join(f"{line}\n" for line in lines)
+    return text[:-1] if text and draw(st.booleans()) else text
 
 
 def outcome(parse, stream):
@@ -312,44 +365,73 @@ def streams(text: str):
     yield io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8-sig")
 
 
+def check_edges(text):
+    for stream, oracle_stream in zip(streams(text), streams(text)):
+        kind, got = outcome(read_edges, stream)
+        want_kind, want = outcome(naive_read_edges, oracle_stream)
+        assert kind == want_kind
+        if kind == "error":
+            assert got == want
+            continue
+        assert list(got) == want
+        ids, src, dst = naive_build_graph(want)
+        assert got.ids == ids
+        assert got.index == {u: i for i, u in enumerate(ids)}
+        assert np.array_equal(got.src, src)
+        assert np.array_equal(got.dst, dst)
+        assert len(got) == len(want)
+
+
+def check_scores(text):
+    for stream, oracle_stream in zip(streams(text), streams(text)):
+        kind, got = outcome(parse_scores, stream)
+        want_kind, want = outcome(naive_parse_scores, oracle_stream)
+        assert kind == want_kind
+        if kind == "error":
+            assert got == want
+            continue
+        assert got.users() == list(want)
+        flat = [s for scores in want.values() for s in scores]
+        assert got.values.tolist() == flat
+        assert np.diff(got.offsets).tolist() == [len(v) for v in want.values()]
+        assert got.total_posts == len(flat)
+
+
+def check_labels(text):
+    for stream, oracle_stream in zip(streams(text), streams(text)):
+        kind, got = outcome(parse_labels, stream)
+        want_kind, want = outcome(naive_parse_labels, oracle_stream)
+        assert kind == want_kind
+        if kind == "error":
+            assert got == want
+            continue
+        assert list(got.items()) == list(want.items())
+
+
 BLOCKS = st.sampled_from([1, 3, 16, ingest._BLOCK_CHARS])
 
 
 class TestBulkParsersMatchOracles:
+    @settings(max_examples=PARSER_EXAMPLES)
     @given(text=text_file(edge_line), block=BLOCKS)
     def test_read_edges(self, text, block):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_BLOCK_CHARS", block)
-            for stream, oracle_stream in zip(streams(text), streams(text)):
-                kind, got = outcome(read_edges, stream)
-                want_kind, want = outcome(naive_read_edges, oracle_stream)
-                assert kind == want_kind
-                if kind == "error":
-                    assert got == want
-                    continue
-                assert list(got) == want
-                ids, src, dst = naive_build_graph(want)
-                assert got.ids == ids
-                assert np.array_equal(got.src, src)
-                assert np.array_equal(got.dst, dst)
-                assert len(got) == len(want)
+            check_edges(text)
 
+    @settings(max_examples=PARSER_EXAMPLES)
     @given(text=text_file(score_line), block=BLOCKS)
     def test_parse_scores(self, text, block):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(ingest, "_BLOCK_CHARS", block)
-            for stream, oracle_stream in zip(streams(text), streams(text)):
-                kind, got = outcome(parse_scores, stream)
-                want_kind, want = outcome(naive_parse_scores, oracle_stream)
-                assert kind == want_kind
-                if kind == "error":
-                    assert got == want
-                    continue
-                assert got.users() == list(want)
-                flat = [s for scores in want.values() for s in scores]
-                assert got.values.tolist() == flat
-                assert np.diff(got.offsets).tolist() == [len(v) for v in want.values()]
-                assert got.total_posts == len(flat)
+            check_scores(text)
+
+    @settings(max_examples=PARSER_EXAMPLES)
+    @given(text=text_file(label_line), block=BLOCKS)
+    def test_parse_labels(self, text, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_CHARS", block)
+            check_labels(text)
 
     @pytest.mark.parametrize(
         "bad_line, message",
@@ -360,23 +442,24 @@ class TestBulkParsersMatchOracles:
         ],
     )
     def test_error_past_the_first_block(self, bad_line, message):
-        lines = [f"n{i},n{i + 1}" for i in range(40_000)]
-        lines[31_234] = bad_line
-        text = "\r\n".join(lines) + "\r\n"
-        assert len(text) > 2 * ingest._BLOCK_CHARS
-        for stream in streams(text):
-            with pytest.raises(InputError) as exc:
-                read_edges(stream)
-            assert str(exc.value).startswith("edges line 31235: ")
-            assert message in str(exc.value)
-        with pytest.raises(InputError) as want:
-            naive_read_edges(text)
-        with pytest.raises(InputError) as got:
-            read_edges(text)
-        assert str(got.value) == str(want.value)
+        lines = [f"n{i},n{i + 1}" for i in range(200_000)]
+        lines[156_234] = bad_line
+        for end in ("\r\n", "\n"):  # with "\n", every block but the bad line's is bare
+            text = end.join(lines) + end
+            assert len(text) > 2 * ingest._BLOCK_CHARS
+            for stream in streams(text):
+                with pytest.raises(InputError) as exc:
+                    read_edges(stream)
+                assert str(exc.value).startswith("edges line 156235: ")
+                assert message in str(exc.value)
+            with pytest.raises(InputError) as want:
+                naive_read_edges(text)
+            with pytest.raises(InputError) as got:
+                read_edges(text)
+            assert str(got.value) == str(want.value)
 
     def test_scores_span_blocks(self):
-        rows = [f"u{i % 997},p{i},{(i % 101) / 100}" for i in range(40_000)]
+        rows = [f"u{i % 997},p{i},{(i % 101) / 100}" for i in range(200_000)]
         text = "\n".join(rows) + "\n"
         assert len(text) > 2 * ingest._BLOCK_CHARS
         table = parse_scores(text)
@@ -384,9 +467,85 @@ class TestBulkParsersMatchOracles:
         assert table.users() == list(want)
         for user, scores in want.items():
             assert table.scores(user).tolist() == scores
-        bad = text.replace("u5,p39885,", "u5,p39885,x", 1)
-        with pytest.raises(InputError, match="line 39886: non-numeric"):
+        bad = text.replace("u5,p159525,", "u5,p159525,x", 1)
+        with pytest.raises(InputError, match="line 159526: non-numeric"):
             parse_scores(bad)
+
+    def test_labels_span_blocks(self):
+        rows = [f"u{i % 99_991},{i % 99_991 % 2}" for i in range(300_000)]
+        text = "\n".join(rows) + "\n"
+        assert len(text) > 2 * ingest._BLOCK_CHARS
+        assert list(parse_labels(text).items()) == list(naive_parse_labels(text).items())
+        rows[250_000] = "u50018,1"  # its first row, 50019, says 0
+        bad = "\n".join(rows) + "\n"
+        with pytest.raises(InputError) as got:
+            parse_labels(bad)
+        assert str(got.value) == "labels line 250001: conflicting labels for 'u50018': 0 vs 1"
+        with pytest.raises(InputError) as want:
+            naive_parse_labels(bad)
+        assert str(got.value) == str(want.value)
+
+
+class TestBarePath:
+    """Whitespace-free blocks: tokenized on byte offsets, one string per distinct id."""
+
+    @settings(max_examples=PARSER_EXAMPLES)
+    @given(text=bare_file("edges"), block=BLOCKS)
+    def test_read_edges(self, text, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_CHARS", block)
+            check_edges(text)
+
+    @settings(max_examples=PARSER_EXAMPLES)
+    @given(text=bare_file("scores"), block=BLOCKS)
+    def test_parse_scores(self, text, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_CHARS", block)
+            check_scores(text)
+
+    @settings(max_examples=PARSER_EXAMPLES)
+    @given(text=bare_file("labels"), block=BLOCKS)
+    def test_parse_labels(self, text, block):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_CHARS", block)
+            check_labels(text)
+
+    @pytest.mark.parametrize(
+        "text, bare",
+        [
+            ("a,b\nc,d\n", True),
+            ("ü,名前\n#a,#\n", True),
+            ("a,b#\n#c,d\n", False),  # a comment line
+            ("a, b\n", False),
+            ("a,b\r\n", False),
+            ("a,\u00a0b\n", False),  # no-break space: strip removes it
+            ("\ufeffa,b\n", False),  # a byte-order mark is not printable
+            ("a,b\n\nc,d\n", False),  # a blank line
+            ("a,b,c\n", False),
+            ("a,\n", False),
+        ],
+    )
+    def test_which_blocks_are_bare(self, text, bare):
+        comments = not text.startswith("ü")
+        assert (ingest._BareBlock.of(text, 2, comments) is not None) == bare
+
+    def test_non_ascii_digit_score(self):
+        for text in ("u,p,١\n", "u,p,٠.٥\nv,q,0.25\n"):
+            check_scores(text)
+        assert parse_scores("u,p,١\n").values.tolist() == [1.0]
+
+    def test_long_ids_intern_every_token(self):
+        # past the packed-word limit, and short ids beside one that would take
+        # every key to eight words: neither may build packed keys
+        long_ids = [f"{'y' * 64}{c}" for c in "abc"] + ["y" * 64, "x"]
+        text = "".join(f"{long_ids[i % 5]},{long_ids[(i + 1) % 5]}\n" for i in range(50))
+        short = "".join(f"{'ab'[i % 2]},{'cde'[i % 3]}\n" for i in range(100)) + f"{'y' * 64},a\n"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_first_seen", None)
+            check_edges(text)
+            check_scores(text.replace("\n", ",0.5\n"))
+            check_edges(short)
+        check_edges(text)
 
 
 class TestBuildGraphMatchesOracle:
