@@ -79,29 +79,50 @@ def degroot_step(
     graph: SocialGraph,
     values: np.ndarray,
     direction: str = "out",
-    buffers: tuple[np.ndarray, np.ndarray] | None = None,
+    buffer: np.ndarray | None = None,
 ) -> np.ndarray:
     """One self-inclusive averaging step over the chosen neighbor set.
 
     Evaluated in residual form b + sum(b_v - b_u) / (1 + deg) so a constant
     belief vector reproduces itself bit for bit; the subtraction happens per
     edge, so it yields exact zeros rather than accumulated rounding.
-    ``buffers`` are two float64 arrays with one slot per edge of the view,
-    overwritten by the step; ``degroot_run`` hands the same pair to every
-    step, so no step allocates per edge. An unknown direction fails in the
-    graph's view lookup.
+
+    The sums run on the graph's ``StepLayout``: one gather of every
+    neighbor's belief into ``buffer``, then, column by column, the rows'
+    own beliefs (a contiguous slice in degree order) are subtracted and the
+    deltas added into a zeroed accumulator. Each row so adds its deltas in
+    entry order from +0.0, the same additions ``np.bincount`` makes, and
+    the long rows past the last column finish through ``bincount`` itself,
+    so the result does not depend on the layout. ``buffer`` is one float64
+    array with a slot per entry of the view, overwritten by the step;
+    ``degroot_run`` hands the same one to every step, so no step allocates
+    per edge. Beliefs come in and go out in node order. An unknown
+    direction fails in the graph's view lookup.
     """
     if len(values) != graph.node_count:
         raise InputError("belief vector length does not match graph")
     values = np.asarray(values, dtype=np.float64)
-    indices, rows, scale = graph.step_arrays(direction)
-    if buffers is None:
-        buffers = (np.empty(len(indices)), np.empty(len(indices)))
-    deltas, own = buffers
+    layout = graph.step_layout(direction)
+    if buffer is None:
+        buffer = np.empty(len(layout.gather))
+    own = values.take(layout.perm)
     # mode="clip" writes straight into out=; the default mode buffers it
-    values.take(indices, out=deltas, mode="clip")
-    deltas -= values.take(rows, out=own, mode="clip")
-    return values + np.bincount(rows, weights=deltas, minlength=graph.node_count) / scale
+    own.take(layout.gather, out=buffer, mode="clip")
+    linked = len(layout.scale)
+    sums = np.zeros(linked)
+    long, end = layout.long, 0
+    for active in layout.columns:
+        deltas = buffer[end : end + active - long]
+        deltas -= own[long:active]
+        sums[long:active] += deltas
+        end += active - long
+    if long:
+        deltas = buffer[end:]
+        deltas -= own.take(layout.long_rows)
+        sums[:long] = np.bincount(layout.long_rows, weights=deltas, minlength=long)
+    own[:linked] += sums / layout.scale
+    own[linked:] += 0.0  # the zero sum of a row without entries turns -0.0 into +0.0
+    return own.take(layout.inv)
 
 
 def degroot_run(
@@ -115,11 +136,10 @@ def degroot_run(
     {"iteration": i, "max_change": c}; the step count is ``len(log)``.
     """
     config = config or DiffusionConfig()
-    edges = len(graph.step_arrays(config.direction)[0])
-    buffers = (np.empty(edges), np.empty(edges))
+    buffer = np.empty(len(graph.step_layout(config.direction).gather))
     log: list[dict] = []
     for i in range(1, config.max_iters + 1):
-        nxt = degroot_step(graph, values, config.direction, buffers)
+        nxt = degroot_step(graph, values, config.direction, buffer)
         change = float(np.max(np.abs(nxt - values))) if len(values) else 0.0
         log.append({"iteration": i, "max_change": change})
         values = nxt

@@ -68,7 +68,10 @@ def intern_ids(tokens: list, index: dict, ids: list) -> np.ndarray:
     ``index`` (id -> code) and ``ids`` (code -> id) hold the ids seen so far
     and are extended in place, so a stream can be interned block by block.
     One ``setdefault`` pass maps each new id to ``base + its first position``;
-    ranking those first positions turns them into dense codes.
+    ranking those first positions turns them into dense codes. Only the ids
+    whose code differs from that stored position are written again; they
+    follow the first repeated token, so when every token is new (a label
+    file, a first block) none is.
     """
     base = len(ids)
     first = np.fromiter(
@@ -82,7 +85,9 @@ def intern_ids(tokens: list, index: dict, ids: list) -> np.ndarray:
     rank[starts] = np.arange(base, base + len(starts))
     first[new] = rank[first[new] - base]
     new_ids = list(map(tokens.__getitem__, starts.tolist()))
-    index.update(zip(new_ids, range(base, base + len(new_ids))))
+    # starts[k] >= k, and once it is greater it stays greater
+    stored = int(np.count_nonzero(starts == np.arange(len(starts))))
+    index.update(zip(new_ids[stored:], range(base + stored, base + len(new_ids))))
     ids.extend(new_ids)
     return first
 
@@ -141,6 +146,68 @@ def _raise_bad_pair(pairs: list) -> None:
             raise InputError(f"edge {pos}: self-loop on {u!r}")
 
 
+# a column of the step layout is summed with two numpy calls whatever its
+# length, so columns end once fewer rows than this are still active
+_MIN_COLUMN_ROWS = 1024
+
+
+class StepLayout(NamedTuple):
+    """A CSR view with its rows by length, stored column by column (sliced ELLPACK).
+
+    Position ``p`` holds node ``perm[p]``: the longest rows first, ties in
+    node order; ``inv`` maps a node to its position, and ``scale`` holds
+    ``1 + degree`` for the positions with at least one entry. Column ``j``
+    holds the ``j``-th entry of positions ``long .. columns[j] - 1``, the
+    rows past ``long`` with more than ``j`` entries. ``gather`` lists, as
+    positions, the neighbors of every column in turn, then every entry of
+    the ``long`` leading rows, column by column as well; ``long_rows`` is
+    the position of each of those last entries.
+    """
+
+    perm: np.ndarray
+    inv: np.ndarray
+    gather: np.ndarray
+    columns: list
+    long: int
+    long_rows: np.ndarray
+    scale: np.ndarray
+
+
+def _step_layout(indptr: np.ndarray, indices: np.ndarray) -> StepLayout:
+    """The ``StepLayout`` of a CSR view.
+
+    Column ``j`` is kept while at least ``_MIN_COLUMN_ROWS`` rows have more
+    than ``j`` entries, so there are at most ``m / _MIN_COLUMN_ROWS``
+    columns whatever the longest row. The rows longer than the last column,
+    fewer than ``_MIN_COLUMN_ROWS``, are the ``long`` rows, which the step
+    sums through ``bincount``.
+    """
+    deg = np.diff(indptr)
+    n = len(deg)
+    # active[j]: rows with more than j entries; it ends at 0 for the longest row
+    active = n - np.cumsum(np.bincount(deg, minlength=1))
+    perm = np.argsort(-deg, kind="stable")
+    inv = np.empty(n, dtype=np.intp)
+    inv[perm] = np.arange(n)
+    cols = int(np.count_nonzero(active >= _MIN_COLUMN_ROWS))
+    long = int(active[cols])
+    targets = inv.take(indices)
+    linked = perm[: active[0]]  # the rows with at least one entry
+    starts = indptr[linked]
+    columns = active[:cols].tolist()
+    parts = [targets.take(starts[long:c] + j) for j, c in enumerate(columns)]
+    # the long rows' entries column by column: a stable sort of their
+    # row-order entries by column keeps each row's entries in order
+    long_deg = deg[perm[:long]]
+    long_rows = np.repeat(np.arange(long, dtype=np.intp), long_deg)
+    column = np.arange(len(long_rows)) - (np.cumsum(long_deg) - long_deg)[long_rows]
+    order = np.argsort(column, kind="stable")
+    long_rows, column = long_rows[order], column[order]
+    parts.append(targets.take(starts[long_rows] + column))
+    gather = np.concatenate(parts)
+    return StepLayout(perm, inv, gather, columns, long, long_rows, 1.0 + deg[linked])
+
+
 class SocialGraph:
     """Immutable directed graph over interned string user ids.
 
@@ -164,7 +231,7 @@ class SocialGraph:
         self.in_indptr, self.in_indices = _csr(dst, src, n)
         self._und: tuple[np.ndarray, np.ndarray] | None = None
         self._components: tuple[int, np.ndarray] | None = None
-        self._step_of: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._step_of: dict[str, StepLayout] = {}
 
     # -- basic shape -------------------------------------------------------
 
@@ -251,19 +318,12 @@ class SocialGraph:
             return self.undirected_csr()
         raise InputError(f"unknown direction {direction!r}")
 
-    def step_arrays(self, direction: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indices, row_of_entry, 1 + degree) of a view, cached for the DeGroot step.
-
-        Indices and rows are kept as ``intp``, so the gathers of every step
-        index without a conversion.
-        """
-        cached = self._step_of.get(direction)
-        if cached is None:
-            indptr, indices = self._view(direction)
-            deg = np.diff(indptr)
-            rows = np.repeat(np.arange(self.node_count, dtype=np.intp), deg)
-            cached = self._step_of[direction] = indices.astype(np.intp), rows, 1.0 + deg
-        return cached
+    def step_layout(self, direction: str) -> StepLayout:
+        """The column layout of a view for the DeGroot step, built once per direction."""
+        layout = self._step_of.get(direction)
+        if layout is None:
+            layout = self._step_of[direction] = _step_layout(*self._view(direction))
+        return layout
 
     def neighbor_sums(self, values: np.ndarray, direction: str) -> np.ndarray:
         """Per-node sum of ``values`` over neighbors in the given direction.

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,10 +17,16 @@ from hateagg import (
     degroot_run,
     degroot_step,
 )
+import hateagg.degroot as degroot_module
+import hateagg.graph as graph_module
 from hateagg.graph import SocialGraph
 
 from conftest import make_dataset, random_dataset
 from oracles import dense_degroot_step, gather_degroot_step
+
+
+# rows that keep a layout column; a star with more leaves reaches the long rows
+MIN_ROWS = graph_module._MIN_COLUMN_ROWS
 
 
 def two_node_graph():
@@ -62,6 +70,48 @@ class TestInit:
         config = DiffusionConfig(max_iters=3, tol=1e-300)
         _, log = degroot_run(ds.graph, degroot_init(ds, config=config), config)
         assert [rec["iteration"] for rec in log] == [1, 2, 3]
+
+
+def index_graph(n, pairs):
+    """Graph on nodes n0..n{n-1} from (src, dst) index pairs."""
+    return SocialGraph(
+        [f"n{i}" for i in range(n)],
+        np.array([a for a, _ in pairs], dtype=np.int64),
+        np.array([b for _, b in pairs], dtype=np.int64),
+    )
+
+
+def two_stars(leaves, hubs):
+    """Node 0 follows each leaf ("out" in ``hubs``) and each leaf follows node 1 ("in")."""
+    pairs = []
+    if "out" in hubs:
+        pairs += [(0, leaf) for leaf in range(2, leaves + 2)]
+    if "in" in hubs:
+        pairs += [(leaf, 1) for leaf in range(2, leaves + 2)]
+    return pairs
+
+
+@st.composite
+def hub_graphs(draw):
+    """Stars with more than MIN_ROWS leaves, random extra edges and isolated nodes.
+
+    A star gives each leaf an entry, so the leaves fill a column of the views
+    that hold that entry, while the hubs and the leaves with extra edges are
+    long rows.
+    """
+    leaves = MIN_ROWS + draw(st.integers(1, 50))
+    n = 2 + leaves + draw(st.integers(0, 3))
+    node = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(node, node), max_size=200))
+    hubs = draw(st.sampled_from([("out",), ("in",), ("out", "in")]))
+    return index_graph(n, two_stars(leaves, hubs) + [(a, b) for a, b in extra if a != b])
+
+
+def signed_beliefs(rng, n):
+    """Beliefs over many magnitudes and both signs, with some -0.0."""
+    vals = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+    vals[rng.random(n) < 0.2] = -0.0
+    return vals
 
 
 class TestStep:
@@ -114,16 +164,17 @@ class TestStep:
         with pytest.raises(InputError):
             degroot_step(g, beliefs([1.0, 0.0, 0.0]))
 
-    @given(n=st.integers(1, 30), data=st.data())
-    def test_bit_identical_to_gather_form(self, n, data):
+    @given(n=st.integers(1, 30), min_rows=st.sampled_from([1, 2, 3, 5, MIN_ROWS]), data=st.data())
+    def test_bit_identical_to_gather_form(self, n, min_rows, data):
+        # a small column threshold splits these small graphs into columns
+        # and long rows at every point
         node = st.integers(0, n - 1)
         pairs = data.draw(st.lists(st.tuples(node, node), max_size=90))
         pairs = [(a, b) for a, b in pairs if a != b]
-        g = SocialGraph(
-            [f"n{i}" for i in range(n)],
-            np.array([a for a, _ in pairs], dtype=np.int64),
-            np.array([b for _, b in pairs], dtype=np.int64),
-        )
+        with mock.patch.object(graph_module, "_MIN_COLUMN_ROWS", min_rows):
+            g = index_graph(n, pairs)
+            for direction in ("out", "in", "undirected"):
+                g.step_layout(direction)
         unit = st.floats(0.0, 1.0)
         wide = st.floats(-1e300, 1e300, allow_nan=False, allow_subnormal=True)
         vals = np.array(
@@ -131,10 +182,30 @@ class TestStep:
             dtype=np.float64,
         )
         for direction in ("out", "in", "undirected"):
-            for _ in range(2):  # the second step runs on the cached index
+            for _ in range(2):  # the second step runs on the cached layout
                 got = degroot_step(g, beliefs(vals), direction)
                 want = gather_degroot_step(g, vals, direction)
                 assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=15)
+    @given(hub_graphs(), st.integers(0, 2**32 - 1))
+    def test_hub_bit_identical_to_gather_form(self, g, seed):
+        vals = signed_beliefs(np.random.default_rng(seed), g.node_count)
+        for direction in ("out", "in", "undirected"):
+            layout = g.step_layout(direction)
+            # columns end while MIN_ROWS rows are active, however long the hub
+            assert len(layout.columns) * MIN_ROWS <= len(layout.gather)
+            got = degroot_step(g, beliefs(vals), direction)
+            want = gather_degroot_step(g, vals, direction)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 4])
+    def test_zero_edge_graph_keeps_beliefs(self, n):
+        g = index_graph(n, [])
+        vals = signed_beliefs(np.random.default_rng(n), n)
+        for direction in ("out", "in", "undirected"):
+            got = degroot_step(g, beliefs(vals), direction)
+            assert got.tobytes() == gather_degroot_step(g, vals, direction).tobytes()
 
 
 def stepped(g, values, config):
@@ -167,6 +238,40 @@ class TestRun:
                 assert got.tobytes() == want.tobytes()
                 assert log == want_log
                 assert start.tobytes() == kept.tobytes()
+
+    @pytest.mark.parametrize("direction", ["out", "in", "undirected"])
+    def test_hub_run_bit_identical_to_a_loop_of_steps(self, direction):
+        rng = np.random.default_rng(31)
+        n = MIN_ROWS + 200
+        extra = rng.integers(0, n, size=(600, 2)).tolist()
+        pairs = two_stars(MIN_ROWS + 100, ("out", "in")) + [(a, b) for a, b in extra if a != b]
+        g = index_graph(n, pairs)
+        layout = g.step_layout(direction)
+        assert layout.columns and layout.long  # both paths of the step run
+        start = rng.random(n)
+        config = DiffusionConfig(direction=direction, max_iters=40, tol=1e-300)
+        got, log = degroot_run(g, start, config)
+        want, want_log = stepped(g, start, config)
+        assert got.tobytes() == want.tobytes()
+        assert log == want_log
+
+    def test_calls_the_module_step_once_per_logged_step(self, monkeypatch):
+        # a tracer counts steps by wrapping hateagg.degroot.degroot_step
+        calls = []
+        step = degroot_module.degroot_step
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(degroot_module, "degroot_step", counted)
+        rng = np.random.default_rng(7)
+        g = random_dataset(rng, max_users=60, max_posts=2, edge_prob=0.08).graph
+        for max_iters, tol in ((25, 1e-300), (500, 1e-6)):
+            calls.clear()
+            config = DiffusionConfig(direction="undirected", max_iters=max_iters, tol=tol)
+            _, log = degroot_run(g, rng.random(g.node_count), config)
+            assert len(calls) == len(log)
 
     def test_mutual_pair_converges_to_mean(self):
         g = two_node_graph()

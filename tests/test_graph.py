@@ -376,6 +376,37 @@ class TestGraphStats:
         }
 
 
+def naive_intern(blocks):
+    """Codes per block, ids and index, numbering each id when it is first seen."""
+    index: dict = {}
+    codes = [[index.setdefault(t, len(index)) for t in block] for block in blocks]
+    return codes, list(index), index
+
+
+class TestInternIds:
+    def test_block_mixing_old_and_new_ids(self):
+        index: dict = {}
+        ids: list = []
+        first = graph_module.intern_ids(["a", "b", "a"], index, ids)
+        # new ids both before and after the first repeated token
+        mixed = graph_module.intern_ids(["c", "a", "d", "c", "b", "e", "d"], index, ids)
+        assert first.tolist() == [0, 1, 0]
+        assert mixed.tolist() == [2, 0, 3, 2, 1, 4, 3]
+        assert ids == ["a", "b", "c", "d", "e"]
+        assert index == {"a": 0, "b": 1, "c": 2, "d": 3, "e": 4}
+
+    @given(st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=12), max_size=5))
+    def test_blocks_match_first_seen_numbering(self, blocks):
+        index: dict = {}
+        ids: list = []
+        got = [graph_module.intern_ids(list(b), index, ids).tolist() for b in blocks]
+        want_codes, want_ids, want_index = naive_intern(blocks)
+        assert got == want_codes
+        assert ids == want_ids
+        assert index == want_index
+        assert list(index) == ids
+
+
 class TestNeighborSums:
     def test_matches_dense_reference(self):
         rng = np.random.default_rng(37)
