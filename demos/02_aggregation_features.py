@@ -12,7 +12,6 @@ import numpy as np
 from hateagg import (
     AggregationConfig,
     BindPolicy,
-    LabelSet,
     ScoreTable,
     bind_dataset,
     build_features,
@@ -44,7 +43,7 @@ def main() -> None:
     dataset = bind_dataset(
         build_graph(EDGES, isolated_ids=["fay"]),
         table,
-        LabelSet(),
+        {},
         policy=BindPolicy(allow_zero_post_users=True),
     )
 

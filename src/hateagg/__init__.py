@@ -38,7 +38,6 @@ from .graph import (
 from .ingest import (
     BindPolicy,
     Dataset,
-    LabelSet,
     ScoreTable,
     bind_dataset,
     parse_labels,
@@ -77,7 +76,6 @@ __all__ = [
     "FeatureMatrix",
     "GraphStats",
     "InputError",
-    "LabelSet",
     "LearnConfig",
     "LogRegModel",
     "MODES",

@@ -29,7 +29,6 @@ from .graph import build_graph, graph_stats
 from .ingest import (
     BindPolicy,
     Dataset,
-    LabelSet,
     bind_dataset,
     parse_labels,
     parse_scores,
@@ -96,7 +95,7 @@ def _load_dataset(args) -> Dataset:
     # argparse enforces --labels where a subcommand requires it
     graph = build_graph(_parse_file(args.edges, read_edges, "edge"))
     scores = _parse_file(args.scores, parse_scores, "score")
-    labels = _parse_file(args.labels, parse_labels, "label") if args.labels else LabelSet()
+    labels = _parse_file(args.labels, parse_labels, "label") if args.labels else {}
     policy = BindPolicy(restrict_to_wcc=args.wcc_only, allow_zero_post_users=args.allow_zero_posts)
     dataset = bind_dataset(graph, scores, labels, policy)
     summary_line = json_line(dataset.discard_summary)
@@ -306,7 +305,7 @@ def cmd_synth(args) -> int:
     with open(outdir / "scores.csv", "w", encoding="utf-8") as fh:
         write_scores(dataset.scores, fh)
     with open(outdir / "labels.csv", "w", encoding="utf-8") as fh:
-        write_labels(dataset.labels, fh)
+        write_labels(dataset, fh)
     with open(outdir / "ground_truth.csv", "w", encoding="utf-8") as fh:
         write_rows(fh, [user_ids(config.n_users), planted_labels(config)], key_fmt="%s,%d")
     echo = {"subcommand": "synth", **config.to_dict(), "out_dir": str(outdir)}

@@ -243,14 +243,6 @@ class SocialGraph:
     def edge_count(self) -> int:
         return int(len(self.out_indices))
 
-    def out_neighbors(self, i: int) -> np.ndarray:
-        """Followees of node i (sorted by node index)."""
-        return self.out_indices[self.out_indptr[i] : self.out_indptr[i + 1]]
-
-    def in_neighbors(self, i: int) -> np.ndarray:
-        """Followers of node i (sorted by node index)."""
-        return self.in_indices[self.in_indptr[i] : self.in_indptr[i + 1]]
-
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_indptr)
 

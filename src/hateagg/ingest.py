@@ -7,6 +7,8 @@ File formats (UTF-8 text, no headers):
 * scores: ``user_id,post_id,score`` per line, score in [0, 1]; the post id is
   kept only for diagnostics.
 * labels: ``user_id,label`` per line, label in {0, 1}; 1 marks a hate-monger.
+  Parsed labels are a ``{user: label}`` dict in first-seen order; a bound
+  dataset holds them as an int8 column over its nodes, -1 where unlabeled.
 
 Blank lines are skipped everywhere, and surrounding whitespace is stripped
 from lines and ids. Scores are produced upstream by whatever utterance model
@@ -38,7 +40,6 @@ from .serialize import write_rows
 
 __all__ = [
     "ScoreTable",
-    "LabelSet",
     "Dataset",
     "BindPolicy",
     "read_edges",
@@ -281,8 +282,9 @@ class ScoreTable:
 
     User ``users()[j]`` owns ``values[offsets[j]:offsets[j + 1]]``. Users
     appear in first-seen order, scores keep file order within a user, and a
-    user may own zero posts. A caller that already holds the user -> row map
-    passes it as ``index``; it is adopted, not copied.
+    user may own zero posts. The ``users`` list is adopted, not copied, and
+    so is ``index`` when a caller that already holds the user -> row map
+    passes it.
     """
 
     def __init__(
@@ -292,7 +294,7 @@ class ScoreTable:
         values: np.ndarray,
         index: dict | None = None,
     ) -> None:
-        self._users = list(users)
+        self._users = users
         self._row = dict(zip(self._users, range(len(self._users)))) if index is None else index
         if len(self._row) != len(self._users):
             raise InputError("score table users must be distinct")
@@ -331,9 +333,6 @@ class ScoreTable:
         j = self._row[user]
         return int(self.offsets[j + 1] - self.offsets[j])
 
-    def __contains__(self, user: str) -> bool:
-        return user in self._row
-
     def __len__(self) -> int:
         return len(self._users)
 
@@ -343,7 +342,7 @@ class ScoreTable:
 
     def rows_of(self, users: Iterable[str]) -> np.ndarray:
         """Row of each user in ``users``, -1 for users not in the table."""
-        return np.fromiter(map(self._row.get, users, itertools.repeat(-1)), dtype=np.int64)
+        return _rows_in(self._row, users)
 
     def segments(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(offsets, values) of the given rows, concatenated in the given order.
@@ -356,6 +355,11 @@ class ScoreTable:
         np.cumsum(lengths, out=offsets[1:])
         gather = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], lengths)
         return offsets, self.values[gather]
+
+
+def _rows_in(index: dict, users: Iterable[str]) -> np.ndarray:
+    """Position of each user in ``index``, -1 for users not in it."""
+    return np.fromiter(map(index.get, users, itertools.repeat(-1)), dtype=np.int64)
 
 
 def parse_scores(stream: IO[str] | str) -> ScoreTable:
@@ -406,42 +410,11 @@ def _rescan_scores(first: int, text: str) -> None:
     raise AssertionError("a bulk score check failed but no line is bad")
 
 
-class LabelSet:
-    """user_id -> {0, 1}; 1 marks a hate-monger."""
+def parse_labels(stream: IO[str] | str) -> dict[str, int]:
+    """Parse a label file into ``{user: label}``, users in first-seen order.
 
-    def __init__(self, labels: dict[str, int] | None = None) -> None:
-        self._labels: dict[str, int] = {}
-        for user, label in (labels or {}).items():
-            self.set(user, label)
-
-    def set(self, user: str, label: int) -> None:
-        if label not in (0, 1):
-            raise InputError(f"label must be 0 or 1, got {label}")
-        existing = self._labels.get(user)
-        if existing is not None and existing != label:
-            raise InputError(
-                f"conflicting labels for {user!r}: {existing} vs {label}"
-            )
-        self._labels[user] = label
-
-    def get(self, user: str) -> int:
-        return self._labels[user]
-
-    def users(self) -> list[str]:
-        return list(self._labels)
-
-    def __contains__(self, user: str) -> bool:
-        return user in self._labels
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-    def items(self) -> Iterator[tuple[str, int]]:
-        return iter(self._labels.items())
-
-
-def parse_labels(stream: IO[str] | str) -> LabelSet:
-    """Parse a label file; consistent duplicates are tolerated."""
+    Consistent duplicates are tolerated.
+    """
     users: list[str] = []
     index: dict[str, int] = {}
     known = np.zeros(0, dtype=np.int64)  # each user's first label, by code
@@ -470,9 +443,7 @@ def parse_labels(stream: IO[str] | str) -> LabelSet:
         prior, known = known, np.concatenate([known, label[code > seen[:-1]]])
         if np.any(known[code] != label):
             _rescan_labels(first, text, users[:base], prior)
-    labels = LabelSet()
-    labels._labels = dict(zip(users, known.tolist()))  # every label checked above
-    return labels
+    return dict(zip(users, known.tolist()))  # every label checked above
 
 
 def _rescan_labels(first: int, text: str, users: list[str], known: np.ndarray) -> None:
@@ -480,7 +451,7 @@ def _rescan_labels(first: int, text: str, users: list[str], known: np.ndarray) -
 
     ``users`` and their labels ``known`` are those of the blocks before.
     """
-    labels = LabelSet(dict(zip(users, known.tolist())))
+    labels = dict(zip(users, known.tolist()))
     for lineno, line in enumerate(map(str.strip, _raw_lines(text)), start=first):
         if not line:
             continue
@@ -496,10 +467,13 @@ def _rescan_labels(first: int, text: str, users: list[str], known: np.ndarray) -
             label = int(parts[1])
         except ValueError:
             raise InputError(f"labels line {lineno}: non-integer label {parts[1]!r}")
-        try:
-            labels.set(user, label)
-        except InputError as exc:
-            raise InputError(f"labels line {lineno}: {exc}")
+        if label not in (0, 1):
+            raise InputError(f"labels line {lineno}: label must be 0 or 1, got {label}")
+        existing = labels.setdefault(user, label)
+        if existing != label:
+            raise InputError(
+                f"labels line {lineno}: conflicting labels for {user!r}: {existing} vs {label}"
+            )
     raise AssertionError("a bulk label check failed but no line is bad")
 
 
@@ -526,36 +500,39 @@ class Dataset:
     """A consistent bundle of graph, scores, and (possibly partial) labels.
 
     ``scores`` holds one row per graph node, in node order; a node without a
-    score record owns zero posts. Immutable by convention after binding.
-    ``discard_summary`` records what the policy dropped, for the run report.
+    score record owns zero posts. ``labels`` is an int8 column over the
+    nodes: 0 or 1, and -1 where a node is unlabeled. Immutable by convention
+    after binding. ``discard_summary`` records what the policy dropped, for
+    the run report.
     """
 
     graph: SocialGraph
     scores: ScoreTable
-    labels: LabelSet
+    labels: np.ndarray
     discard_summary: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.scores.users() != self.graph.ids:
+        users = self.scores._users
+        if users is not self.graph.ids and users != self.graph.ids:
             raise InputError("dataset scores must hold one row per graph node, in node order")
-        outside = [u for u in self.labels.users() if u not in self.graph.id_index]
-        if outside:
-            raise InputError(f"label for user {outside[0]!r} outside the dataset graph")
+        labels = np.asarray(self.labels)
+        if labels.shape != (self.graph.node_count,):
+            raise InputError("dataset labels must hold one entry per graph node")
+        outside = labels[(labels != -1) & (labels != 0) & (labels != 1)]
+        if len(outside):
+            raise InputError(f"dataset label must be -1 (unlabeled), 0 or 1, got {outside[0]}")
+        self.labels = labels.astype(np.int8, copy=False)
 
     def labeled_indices(self) -> tuple[np.ndarray, np.ndarray]:
         """(node_indices, labels) for labeled users, sorted by node index."""
-        idx = sorted(self.graph.id_index[u] for u in self.labels.users())
-        node_idx = np.asarray(idx, dtype=np.int64)
-        y = np.asarray(
-            [self.labels.get(self.graph.ids[i]) for i in idx], dtype=np.int64
-        )
-        return node_idx, y
+        node_idx = np.flatnonzero(self.labels >= 0)
+        return node_idx, self.labels[node_idx].astype(np.int64)
 
 
 def bind_dataset(
     graph: SocialGraph,
     scores: ScoreTable,
-    labels: LabelSet,
+    labels: Mapping[str, int],
     policy: BindPolicy | None = None,
 ) -> Dataset:
     """Reconcile the three artifacts into one consistent dataset.
@@ -563,12 +540,17 @@ def bind_dataset(
     The resulting user universe is the graph's node set, either extended by
     the scored users outside it as isolated nodes or restricted to the
     largest weakly connected component. Labeled users must exist in that
-    universe and have a score record unless the policy says otherwise. The
-    returned dataset never contains users absent from every input.
+    universe and have a score record unless the policy says otherwise; an
+    error names the first offending user in ``labels`` order. The returned
+    dataset never contains users absent from every input.
     ``scored_users`` in the summary counts the bound users with a score
     record plus the accepted zero-post labeled users.
     """
     policy = policy or BindPolicy()
+    outside = set(labels.values()).difference((0, 1))
+    if outside:
+        bad = next(label for label in labels.values() if label in outside)
+        raise InputError(f"label must be 0 or 1, got {bad}")
     summary: dict = {
         "dropped_by_wcc": 0,
         "dropped_scored_users": 0,
@@ -585,31 +567,38 @@ def bind_dataset(
     scored = int(np.count_nonzero(rows >= 0))
     summary["dropped_scored_users"] = len(scores) - scored
 
-    kept = g.id_index
-    bound_labels: dict[str, int] = {}
-    for user, label in labels.items():
-        if user not in graph.id_index and user not in scores:
+    users = list(labels)
+    node = _rows_in(g.id_index, users)
+    bound = node >= 0
+    # a label off the bound graph is dropped, unless no input knows its user
+    off = np.flatnonzero(~bound)
+    missing = [users[i] for i in off.tolist()]
+    unknown = np.zeros(len(users), dtype=bool)
+    unknown[off] = (_rows_in(graph.id_index, missing) < 0) & (scores.rows_of(missing) < 0)
+    unscored = np.zeros(len(users), dtype=bool)
+    unscored[bound] = rows[node[bound]] < 0
+    bad = unknown if policy.allow_zero_post_users else unknown | unscored
+    if bad.any():
+        first = int(np.argmax(bad))
+        user = users[first]
+        if unknown[first]:
             raise InputError(f"label for unknown user {user!r}")
-        if user not in kept:
-            summary["dropped_labels"] += 1
-            continue
-        if rows[kept[user]] < 0:
-            if not policy.allow_zero_post_users:
-                raise InputError(
-                    f"labeled user {user!r} has no score record "
-                    "(set allow_zero_post_users to accept)"
-                )
-            scored += 1
-        bound_labels[user] = label
+        raise InputError(
+            f"labeled user {user!r} has no score record "
+            "(set allow_zero_post_users to accept)"
+        )
+    column = np.full(g.node_count, -1, dtype=np.int8)
+    column[node[bound]] = np.fromiter(labels.values(), dtype=np.int8, count=len(users))[bound]
 
+    summary["dropped_labels"] = len(off)
     summary["users"] = g.node_count
     summary["edges"] = g.edge_count
-    summary["scored_users"] = scored
-    summary["labeled_users"] = len(bound_labels)
+    summary["scored_users"] = scored + int(np.count_nonzero(unscored))
+    summary["labeled_users"] = len(users) - len(off)
     return Dataset(
         graph=g,
         scores=ScoreTable(g.ids, *scores.segments(rows), g.id_index),
-        labels=LabelSet(bound_labels),
+        labels=column,
         discard_summary=summary,
     )
 
@@ -631,5 +620,7 @@ def write_scores(table: ScoreTable, stream: IO[str]) -> None:
     write_rows(stream, [users, post], table.values[:, None], key_fmt="%s,p%d")
 
 
-def write_labels(labels: LabelSet, stream: IO[str]) -> None:
-    write_rows(stream, [labels.users(), [label for _, label in labels.items()]], key_fmt="%s,%s")
+def write_labels(dataset: Dataset, stream: IO[str]) -> None:
+    """Emit ``user_id,label`` rows for the labeled nodes, in node order."""
+    node_idx, y = dataset.labeled_indices()
+    write_rows(stream, [np.array(dataset.graph.ids, dtype=object)[node_idx], y], key_fmt="%s,%d")

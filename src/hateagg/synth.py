@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError
 from .graph import SocialGraph
-from .ingest import Dataset, LabelSet, ScoreTable
+from .ingest import Dataset, ScoreTable
 
 __all__ = ["SynthConfig", "user_ids", "planted_labels", "generate"]
 
@@ -187,7 +187,8 @@ def generate(config: SynthConfig) -> Dataset:
     offsets[scored_idx + 1] = counts
     table = ScoreTable(ids, np.cumsum(offsets), values, graph.id_index)
 
-    labels = LabelSet({ids[i]: int(truth[i]) for i in labeled_idx.tolist()})
+    labels = np.full(n, -1, dtype=np.int8)
+    labels[labeled_idx] = truth[labeled_idx]
     summary = {
         "users": n,
         "edges": graph.edge_count,

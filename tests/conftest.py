@@ -8,7 +8,6 @@ from hypothesis import HealthCheck, settings
 from hateagg import (
     BindPolicy,
     Dataset,
-    LabelSet,
     ScoreTable,
     bind_dataset,
     build_graph,
@@ -27,6 +26,8 @@ PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "suite")
 settings.load_profile(PROFILE)
 # examples per parser oracle test
 PARSER_EXAMPLES = 1000 if PROFILE == "ci" else 60
+# examples per bind oracle test
+BIND_EXAMPLES = 1000 if PROFILE == "ci" else 200
 
 
 def make_dataset(
@@ -39,10 +40,7 @@ def make_dataset(
     """Assemble a dataset from literal python structures."""
     graph = build_graph(edges, isolated_ids=isolated)
     table = ScoreTable.from_mapping(scores or {})
-    labelset = LabelSet()
-    for user, label in (labels or {}).items():
-        labelset.set(user, label)
-    return bind_dataset(graph, table, labelset, policy or BindPolicy(allow_zero_post_users=True))
+    return bind_dataset(graph, table, labels or {}, policy or BindPolicy(allow_zero_post_users=True))
 
 
 def random_dataset(
@@ -69,13 +67,13 @@ def random_dataset(
         {ids[i]: rng.random(int(rng.integers(0, max_posts + 1))) for i in range(n)}
     )
 
-    labelset = LabelSet()
+    labels = {}
     if label_fraction > 0:
         chosen = rng.random(n) < label_fraction
         for i in np.flatnonzero(chosen):
-            labelset.set(ids[int(i)], int(rng.integers(0, 2)))
+            labels[ids[int(i)]] = int(rng.integers(0, 2))
 
     graph = build_graph(edges, isolated_ids=tuple(ids))
     return bind_dataset(
-        graph, table, labelset, BindPolicy(allow_zero_post_users=True)
+        graph, table, labels, BindPolicy(allow_zero_post_users=True)
     )

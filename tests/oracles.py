@@ -258,8 +258,11 @@ def naive_write_scores(table) -> str:
     )
 
 
-def naive_write_labels(labels) -> str:
-    return "".join(f"{user},{label}\n" for user, label in labels.items())
+def naive_write_labels(dataset: Dataset) -> str:
+    return "".join(
+        f"{user},{label}\n" for user, label in zip(dataset.graph.ids, dataset.labels.tolist())
+        if label >= 0
+    )
 
 
 # -- aggregation features ------------------------------------------------------
@@ -322,18 +325,24 @@ def naive_feature_matrix(dataset: Dataset, mode: str, config) -> np.ndarray:
             _user_scores(dataset, user), config.tau_t, config.tau_fixed
         )
 
+    followers: dict[str, list[str]] = {user: [] for user in g.ids}
+    followees: dict[str, list[str]] = {user: [] for user in g.ids}
+    for src, dst in g.edges():
+        followers[dst].append(src)
+        followees[src].append(dst)
+
     rows = []
-    for i, user in enumerate(g.ids):
+    for user in g.ids:
         scores = _user_scores(dataset, user)
         row: list[float] = []
         if mode == "fixed":
             row.append(float(naive_fixed_count(scores, config.tau_t)))
         if mode in ("relational", "multimodal"):
-            followers = [cf(g.ids[int(j)]) for j in g.in_neighbors(i)]
-            followees = [cf(g.ids[int(j)]) for j in g.out_neighbors(i)]
+            ins = [cf(u) for u in followers[user]]
+            outs = [cf(u) for u in followees[user]]
             row.append(float(cf(user)))
-            row.append(sum(followers) / len(followers) if followers else 0.0)
-            row.append(sum(followees) / len(followees) if followees else 0.0)
+            row.append(sum(ins) / len(ins) if ins else 0.0)
+            row.append(sum(outs) / len(outs) if outs else 0.0)
         if mode in ("bins", "bins+quantiles", "multimodal"):
             hist = [float(c) for c in naive_bin_histogram(scores, k)]
             if config.softmax_histograms and scores:

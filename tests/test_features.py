@@ -209,7 +209,7 @@ class TestBuildFeatures:
         ds = random_dataset(rng, max_users=60, max_posts=20)
         fm = build_features(ds, "multimodal", AggregationConfig(k_bins=6))
         posts = np.array(
-            [ds.scores.n_posts(u) if u in ds.scores else 0 for u in ds.graph.ids]
+            [ds.scores.n_posts(u) for u in ds.graph.ids]
         )
         with_posts = posts > 0
         bins_block = fm.values[with_posts, 3:9]
@@ -225,7 +225,7 @@ class TestBuildFeatures:
         config = AggregationConfig(k_bins=4, softmax_histograms=False)
         fm = build_features(ds, "bins+quantiles", config)
         posts = np.array(
-            [ds.scores.n_posts(u) if u in ds.scores else 0 for u in ds.graph.ids]
+            [ds.scores.n_posts(u) for u in ds.graph.ids]
         )
         assert np.allclose(fm.values[:, :4].sum(axis=1), posts)
         assert np.allclose(fm.values[:, 4:].sum(axis=1), posts)
@@ -260,12 +260,8 @@ class TestPerNodeCounts:
         ds = random_dataset(rng, max_users=40, max_posts=12)
         counts, posts = per_node_counts(ds, 0.5)
         for i, uid in enumerate(ds.graph.ids):
-            if uid in ds.scores:
-                assert counts[i] == naive_fixed_count(list(ds.scores.scores(uid)), 0.5)
-                assert posts[i] == ds.scores.n_posts(uid)
-            else:
-                assert counts[i] == 0
-                assert posts[i] == 0
+            assert counts[i] == naive_fixed_count(list(ds.scores.scores(uid)), 0.5)
+            assert posts[i] == ds.scores.n_posts(uid)
 
 
 class TestRankingInvariance:

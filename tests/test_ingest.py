@@ -13,7 +13,6 @@ from hateagg import (
     BindPolicy,
     Dataset,
     InputError,
-    LabelSet,
     ScoreTable,
     bind_dataset,
     build_features,
@@ -26,7 +25,7 @@ from hateagg import (
     write_scores,
 )
 
-from conftest import PARSER_EXAMPLES
+from conftest import BIND_EXAMPLES, PARSER_EXAMPLES
 from oracles import (
     lexsort_csr,
     naive_bind,
@@ -132,9 +131,6 @@ class TestParseLabels:
             parse_labels("u1,1\nu2,2\n")
         assert str(got.value) == "labels line 2: label must be 0 or 1, got 2"
 
-    def test_constructor_rejects_label_outside_binary(self):
-        with pytest.raises(InputError, match="0 or 1"):
-            LabelSet({"a": 2})
 
 
 class TestBindDataset:
@@ -144,7 +140,16 @@ class TestBindDataset:
         labels = parse_labels("a,1\n")
         ds = bind_dataset(graph, scores, labels)
         assert ds.graph.node_count == 2
-        assert len(ds.labels) == 1
+        assert ds.labels.dtype == np.int8
+        assert ds.labels.tolist() == [1, -1]
+        assert ds.discard_summary["labeled_users"] == 1
+
+    def test_bind_rejects_label_outside_binary(self):
+        graph = build_graph([("a", "b")])
+        scores = parse_scores("a,p,0.9\nb,p,0.1\n")
+        with pytest.raises(InputError) as got:
+            bind_dataset(graph, scores, {"a": 2})
+        assert str(got.value) == "label must be 0 or 1, got 2"
 
     def test_wcc_restriction_drops_and_counts(self):
         graph = build_graph([("a", "b"), ("b", "c"), ("x", "y")])
@@ -159,7 +164,8 @@ class TestBindDataset:
         assert ds.discard_summary["dropped_by_wcc"] == 2
         assert ds.discard_summary["dropped_scored_users"] == 2
         assert ds.discard_summary["dropped_labels"] == 1
-        assert "x" not in ds.labels
+        assert ds.graph.ids == ["a", "b", "c"]
+        assert ds.labels.tolist() == [1, -1, -1]
 
     def test_label_for_unknown_user_rejected(self):
         graph = build_graph([("a", "b")])
@@ -167,6 +173,21 @@ class TestBindDataset:
         labels = parse_labels("zzz,1\n")
         with pytest.raises(InputError, match="unknown"):
             bind_dataset(graph, scores, labels)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("x,0\na,1\nzzz,1\nb,0\n", "label for unknown user 'zzz'"),
+            ("x,0\na,1\nb,0\nzzz,1\n", "labeled user 'b' has no score record"),
+        ],
+    )
+    @pytest.mark.parametrize("wcc", [False, True])
+    def test_error_names_the_first_bad_label_in_file_order(self, text, message, wcc):
+        graph = build_graph([("a", "b"), ("b", "c"), ("x", "y")])
+        scores = parse_scores("a,p,0.9\nx,p,0.5\n")
+        with pytest.raises(InputError) as got:
+            bind_dataset(graph, scores, parse_labels(text), BindPolicy(restrict_to_wcc=wcc))
+        assert str(got.value).startswith(message)
 
     def test_labeled_user_without_scores_needs_policy(self):
         graph = build_graph([("a", "b")])
@@ -182,7 +203,7 @@ class TestBindDataset:
     def test_scored_user_missing_from_graph_kept_as_isolated(self):
         graph = build_graph([("a", "b")])
         scores = parse_scores("a,p,0.9\nghost,p,0.5\n")
-        ds = bind_dataset(graph, scores, LabelSet())
+        ds = bind_dataset(graph, scores, {})
         assert "ghost" in ds.graph.id_index
         assert ds.graph.out_degrees()[ds.graph.id_index["ghost"]] == 0
 
@@ -198,7 +219,7 @@ class TestBindDataset:
     def test_bound_table_shares_the_graph_index(self):
         graph = build_graph(read_edges("a,b\n"))
         for scores in ("b,p,0.1\na,p,0.9\n", "a,p,0.9\nghost,p,0.5\n"):
-            ds = bind_dataset(graph, parse_scores(scores), LabelSet())
+            ds = bind_dataset(graph, parse_scores(scores), {})
             assert ds.scores._row is ds.graph.id_index
             assert ds.scores.rows_of(ds.graph.ids).tolist() == list(range(ds.graph.node_count))
         assert graph.id_index == {"a": 0, "b": 1}
@@ -207,18 +228,25 @@ class TestBindDataset:
         graph = build_graph([("a", "b")])
         for table in ({"b": [0.1], "a": [0.9]}, {"a": [0.9]}):
             with pytest.raises(InputError, match="node order"):
-                Dataset(graph, ScoreTable.from_mapping(table), LabelSet())
+                Dataset(graph, ScoreTable.from_mapping(table), np.full(2, -1, dtype=np.int8))
 
-    def test_labels_outside_the_graph_rejected(self):
+    def test_misshapen_or_nonbinary_labels_rejected(self):
         graph = build_graph([("a", "b")])
         table = ScoreTable.from_mapping({"a": [0.9], "b": [0.1]})
-        with pytest.raises(InputError, match="zzz"):
-            Dataset(graph, table, LabelSet({"a": 1, "zzz": 0}))
+        for labels, message in (
+            ([1], "one entry per graph node"),
+            ([1, -1, 0], "one entry per graph node"),
+            ([1, 2], "got 2"),
+            ([-2, 0], "got -2"),
+        ):
+            with pytest.raises(InputError, match=message):
+                Dataset(graph, table, np.array(labels, dtype=np.int8))
+        assert Dataset(graph, table, np.array([1, -1], dtype=np.int8)).labels.tolist() == [1, -1]
 
     def test_never_invents_users(self):
         graph = build_graph([("a", "b")])
         scores = parse_scores("a,p,0.9\n")
-        ds = bind_dataset(graph, scores, LabelSet())
+        ds = bind_dataset(graph, scores, {})
         assert set(ds.graph.ids) <= {"a", "b"}
 
     def test_labeled_indices_sorted_and_aligned(self):
@@ -227,9 +255,9 @@ class TestBindDataset:
         labels = parse_labels("c,1\nb,0\n")
         ds = bind_dataset(graph, scores, labels)
         idx, y = ds.labeled_indices()
-        assert list(idx) == sorted(idx)
-        for i, lab in zip(idx, y):
-            assert ds.labels.get(ds.graph.ids[int(i)]) == lab
+        assert idx.dtype == y.dtype == np.int64
+        assert [ds.graph.ids[int(i)] for i in idx] == ["b", "c"]
+        assert y.tolist() == [0, 1]
 
 
 class TestRoundTrips:
@@ -255,11 +283,14 @@ class TestRoundTrips:
         assert sorted(again.edges()) == sorted(g.edges())
 
     def test_labels_round_trip(self):
+        graph = build_graph([("u3", "u1"), ("u1", "u4")])
         labels = parse_labels("u1,1\nu2,0\nu3,1\n")
+        policy = BindPolicy(allow_zero_post_users=True)
+        ds = bind_dataset(graph, ScoreTable.from_mapping({"u2": [0.5]}), labels, policy)
         buf = io.StringIO()
-        write_labels(labels, buf)
-        back = parse_labels(buf.getvalue())
-        assert dict(back.items()) == dict(labels.items())
+        write_labels(ds, buf)
+        assert buf.getvalue() == "u3,1\nu1,1\nu2,0\n"  # node order
+        assert parse_labels(buf.getvalue()) == labels
 
 
 # -- bulk parsers against the line-by-line oracles ------------------------------
@@ -592,7 +623,7 @@ class TestBuildGraphMatchesOracle:
 
 NODES = ["a", "b", "c", "d", "e", "f"]
 OUTSIDERS = ["x", "y"]  # scored, but in no edge
-UNKNOWN = ["z"]  # in no input
+UNKNOWN = ["w", "z", "zz", "zzz"]  # in no input
 
 
 @st.composite
@@ -610,14 +641,14 @@ def bind_inputs(draw):
     posts = st.lists(st.floats(0.0, 1.0), max_size=4)
     scores = ScoreTable.from_mapping({u: draw(posts) for u in scored})
     labels = draw(
-        st.dictionaries(st.sampled_from(NODES + OUTSIDERS + UNKNOWN), st.integers(0, 1), max_size=4)
+        st.dictionaries(st.sampled_from(NODES + OUTSIDERS + UNKNOWN), st.integers(0, 1), max_size=12)
     )
     policy = BindPolicy(draw(st.booleans()), draw(st.booleans()))
-    return graph, scores, LabelSet(labels), policy
+    return graph, scores, labels, policy
 
 
 class TestBindMatchesOracle:
-    @settings(max_examples=200)
+    @settings(max_examples=BIND_EXAMPLES)
     @given(bind_inputs())
     def test_summary_posts_and_features(self, inputs):
         graph, scores, labels, policy = inputs
@@ -637,7 +668,9 @@ class TestBindMatchesOracle:
         assert sorted(ds.graph.edges()) == sorted(edges)
         assert ds.scores.users() == ds.graph.ids
         assert [ds.scores.scores(u).tolist() for u in ds.graph.ids] == posts
-        assert dict(ds.labels.items()) == bound_labels
+        column = [bound_labels.get(u, -1) for u in ids]
+        assert ds.labels.dtype == np.int8
+        assert ds.labels.tolist() == column
         config = AggregationConfig(tau_t=0.5, tau_fixed=1, k_bins=3)
         for mode in ("fixed", "multimodal"):
             got = build_features(ds, mode, config).values
@@ -652,7 +685,7 @@ class TestWritersMatchOracles:
         for write, naive, item in (
             (write_edges, naive_write_edges, ds.graph),
             (write_scores, naive_write_scores, ds.scores),
-            (write_labels, naive_write_labels, ds.labels),
+            (write_labels, naive_write_labels, ds),
         ):
             buf = io.StringIO()
             write(item, buf)

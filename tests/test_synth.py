@@ -141,7 +141,8 @@ class TestGenerate:
         assert np.array_equal(sa, sb) and np.array_equal(da, db)
         for uid in a.graph.ids:
             assert np.array_equal(a.scores.scores(uid), b.scores.scores(uid))
-        assert dict(a.labels.items()) == dict(b.labels.items())
+        assert a.labels.dtype == np.int8
+        assert np.array_equal(a.labels, b.labels)
 
     def test_different_seed_changes_graph(self):
         a = generate(self.small(seed=1))
@@ -222,28 +223,24 @@ class TestGenerate:
 
     def test_full_labeling_by_default(self):
         ds = generate(self.small())
-        assert len(dict(ds.labels.items())) == 60
+        assert ds.labels.tolist() == planted_labels(self.small()).tolist()
         assert ds.discard_summary["labeled_users"] == 60
         assert ds.discard_summary["scored_users"] == 60
 
     def test_labeled_subsample(self):
         config = self.small(n_users=80, n_labeled=20)
         ds = generate(config)
-        got = dict(ds.labels.items())
-        assert len(got) == 20
-        assert set(got) <= set(ds.graph.ids)
-        # labels reproduce the planted truth on the subsample
-        truth = planted_labels(config)
-        index = {uid: i for i, uid in enumerate(user_ids(80))}
-        for uid, label in got.items():
-            assert label == truth[index[uid]]
+        node_idx, y = ds.labeled_indices()
+        assert len(node_idx) == 20
+        # labels reproduce the planted truth on the subsample, in node order
+        assert ds.graph.ids == user_ids(80)
+        assert y.tolist() == planted_labels(config)[node_idx].tolist()
 
     def test_scores_only_labeled_leaves_rest_unscored(self):
         config = self.small(n_users=80, n_labeled=15, scores_only_labeled=True)
         ds = generate(config)
-        labeled = set(dict(ds.labels.items()))
-        for uid in ds.graph.ids:
-            if uid in labeled:
+        for uid, label in zip(ds.graph.ids, ds.labels.tolist()):
+            if label >= 0:
                 assert ds.scores.n_posts(uid) > 0
             else:
                 assert ds.scores.n_posts(uid) == 0
