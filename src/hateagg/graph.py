@@ -1,8 +1,9 @@
 """Directed follow-graph with dense integer node indices.
 
 The graph is immutable once built: construction interns external string ids
-into dense indices and materializes two CSR adjacency views (followees and
-followers). All queries are read-only, so concurrent access needs no locks.
+into dense indices and stores one CSR adjacency (followees); the other views
+are built from it on first use. All queries are read-only, so concurrent
+access needs no locks.
 
 Conventions
 -----------
@@ -40,16 +41,20 @@ __all__ = [
 def _packed_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
     """Sorted distinct int64 keys ``src * n + dst`` of the (src, dst) pairs.
 
-    One sort orders the pairs by source then destination, and equal pairs
-    are adjacent, so they dedup in one pass.
+    Strictly increasing keys are returned as they are, after one comparison
+    pass. Otherwise one sort orders the pairs by source then destination,
+    and equal pairs are adjacent, so they dedup in one pass.
     """
     # int64 before the multiply: int32 src * n overflows once n > 46,341
     key = src.astype(np.int64)
     key *= n
     key += dst
-    key.sort()
     keep = np.empty(len(key), dtype=bool)
     keep[:1] = True
+    np.greater(key[1:], key[:-1], out=keep[1:])
+    if keep.all():
+        return key
+    key.sort()
     np.not_equal(key[1:], key[:-1], out=keep[1:])
     return key[keep]
 
@@ -211,6 +216,9 @@ def _step_layout(indptr: np.ndarray, indices: np.ndarray) -> StepLayout:
 class SocialGraph:
     """Immutable directed graph over interned string user ids.
 
+    Only the out view (``out_indptr``, ``out_indices``) is stored; :meth:`csr`
+    builds the in and undirected views.
+
     Attributes
     ----------
     ids : list[str]
@@ -228,8 +236,7 @@ class SocialGraph:
         self.ids = ids
         self.id_index = dict(zip(ids, range(n))) if index is None else index
         self.out_indptr, self.out_indices = _csr(src, dst, n)
-        self.in_indptr, self.in_indices = _csr(dst, src, n)
-        self._und: tuple[np.ndarray, np.ndarray] | None = None
+        self._views: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._components: tuple[int, np.ndarray] | None = None
         self._step_of: dict[str, StepLayout] = {}
 
@@ -247,42 +254,39 @@ class SocialGraph:
         return np.diff(self.out_indptr)
 
     def in_degrees(self) -> np.ndarray:
-        return np.diff(self.in_indptr)
+        return np.bincount(self.out_indices, minlength=self.node_count)
 
     def edges(self) -> Iterator[tuple[str, str]]:
-        """Yield directed edges as (follower_id, followee_id), sorted by index."""
-        src = np.repeat(np.arange(self.node_count), np.diff(self.out_indptr))
-        for u, v in zip(src, self.out_indices):
-            yield self.ids[u], self.ids[int(v)]
+        """Directed edges as (follower_id, followee_id) pairs, sorted by index."""
+        return iter(EdgeList(self.ids, self.id_index, *self.edge_arrays()))
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Directed edges as (src_indices, dst_indices)."""
-        src = np.repeat(
-            np.arange(self.node_count, dtype=np.int32), np.diff(self.out_indptr)
-        )
+        src = np.repeat(np.arange(self.node_count, dtype=np.int32), self.out_degrees())
         return src, self.out_indices.copy()
 
-    # -- undirected simple view ---------------------------------------------
+    # -- adjacency views ------------------------------------------------------
 
-    def undirected_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of the undirected simple-graph view.
+    def csr(self, direction: str) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted (indptr, indices) of the 'out', 'in' or 'undirected' view.
 
-        Built lazily and cached; a benign race at most recomputes the same
-        arrays, so no lock is needed.
+        Only 'out' is stored; the others are built on first use and cached (a
+        benign race at most recomputes them, so no lock is needed).
         """
-        if self._und is None:
-            src = np.repeat(
-                np.arange(self.node_count, dtype=np.int32), np.diff(self.out_indptr)
-            )
-            dst = self.out_indices
-            both_src = np.concatenate([src, dst])
-            both_dst = np.concatenate([dst, src])
-            self._und = _csr(both_src, both_dst, self.node_count)
-        return self._und
+        if direction == "out":
+            return self.out_indptr, self.out_indices
+        view = self._views.get(direction)
+        if view is None:
+            if direction not in ("in", "undirected"):
+                raise InputError(f"unknown direction {direction!r}")
+            src, dst = self.edge_arrays()
+            if direction == "undirected":  # the in view of the edges both ways
+                src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+            view = self._views[direction] = _csr(dst, src, self.node_count)
+        return view
 
     def undirected_degrees(self) -> np.ndarray:
-        indptr, _ = self.undirected_csr()
-        return np.diff(indptr)
+        return np.diff(self.csr("undirected")[0])
 
     def components(self) -> tuple[int, np.ndarray]:
         """(count, label per node) of the weak components, cached like the undirected view.
@@ -290,31 +294,19 @@ class SocialGraph:
         Components are numbered by their smallest node index, in order.
         """
         if self._components is None:
-            n = self.node_count
-            src = np.repeat(np.arange(n, dtype=np.int32), np.diff(self.out_indptr))
             roots, labels = np.unique(
-                _component_roots(n, src, self.out_indices), return_inverse=True
+                _component_roots(self.node_count, *self.edge_arrays()), return_inverse=True
             )
             self._components = len(roots), labels
         return self._components
 
     # -- vectorized neighbor reductions --------------------------------------
 
-    def _view(self, direction: str) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, indices) of the requested adjacency view."""
-        if direction == "out":
-            return self.out_indptr, self.out_indices
-        if direction == "in":
-            return self.in_indptr, self.in_indices
-        if direction == "undirected":
-            return self.undirected_csr()
-        raise InputError(f"unknown direction {direction!r}")
-
     def step_layout(self, direction: str) -> StepLayout:
         """The column layout of a view for the DeGroot step, built once per direction."""
         layout = self._step_of.get(direction)
         if layout is None:
-            layout = self._step_of[direction] = _step_layout(*self._view(direction))
+            layout = self._step_of[direction] = _step_layout(*self.csr(direction))
         return layout
 
     def neighbor_sums(self, values: np.ndarray, direction: str) -> np.ndarray:
@@ -323,12 +315,18 @@ class SocialGraph:
         direction 'out' sums over followees, 'in' over followers,
         'undirected' over the union. Result aligned to node index.
         """
-        # one pass, so no cached index: a feature build calls this once per view
-        indptr, indices = self._view(direction)
-        if len(indices) == 0:
-            return np.zeros(self.node_count, dtype=np.float64)
-        rows = np.repeat(np.arange(self.node_count, dtype=np.intp), np.diff(indptr))
-        return np.bincount(rows, weights=values.take(indices), minlength=self.node_count)
+        n = self.node_count
+        if direction == "in":
+            # the out view lists each node's followers in ascending order, so this
+            # scatter adds the terms of a gather over the in view, in its order
+            rows, weights = self.out_indices, np.repeat(values, self.out_degrees())
+        else:  # one pass, so no cached index: a feature build calls this once per view
+            indptr, indices = self.csr(direction)
+            rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
+            weights = values.take(indices)
+        if len(rows) == 0:  # bincount returns ints when it gets no entries
+            return np.zeros(n, dtype=np.float64)
+        return np.bincount(rows, weights=weights, minlength=n)
 
 
 class ComponentCounts(NamedTuple):
@@ -357,7 +355,7 @@ def extend_ids(ids: list, index: dict, extra: Iterable[str]) -> tuple[list, dict
     Sorting keeps node indexing independent of set iteration order. The
     inputs are returned as they are when nothing is new, and never changed.
     """
-    new = sorted(set(extra).difference(index))
+    new = sorted(set(itertools.filterfalse(index.__contains__, extra)))
     if not new:
         return ids, index
     return ids + new, index | dict(zip(new, itertools.count(len(ids))))
@@ -425,13 +423,11 @@ def largest_wcc(g: SocialGraph) -> SocialGraph:
         return g
     # labels follow each component's smallest node index, so argmax breaks ties toward it
     member = labels == np.argmax(np.bincount(labels))
-    keep = np.flatnonzero(member)
-    remap = np.full(g.node_count, -1, dtype=np.int64)
-    remap[keep] = np.arange(len(keep))
+    remap = np.cumsum(member) - 1  # each member's new index, in the old order
 
     src, dst = g.edge_arrays()
     mask = member[src]  # weak components are edge-closed
-    new_ids = [g.ids[int(i)] for i in keep]
+    new_ids = list(map(g.ids.__getitem__, np.flatnonzero(member).tolist()))
     return SocialGraph(new_ids, remap[src[mask]], remap[dst[mask]])
 
 
@@ -517,7 +513,7 @@ def clustering_coefficient(g: SocialGraph, chunk: int = 1 << 19) -> float:
         raise InputError("empty graph has no clustering coefficient")
     if chunk < 1:
         raise InputError(f"chunk must be >= 1, got {chunk}")
-    indptr, indices = g.undirected_csr()
+    indptr, indices = g.csr("undirected")
     n = g.node_count
     deg = np.diff(indptr)
     closed_wedges = 2.0 * _triangle_counts(indptr, indices, chunk)  # exact integers
@@ -575,6 +571,8 @@ def graph_stats(
     coefficient and the power-law exponent are computed on the largest weakly
     connected component, the same restriction used for evaluation.
     """
+    if k_min < 1:  # checked up front: the fit comes after every other statistic
+        raise InputError(f"k_min must be >= 1, got {k_min}")
     counts = component_stats(g)
     wcc = largest_wcc(g)
     stats = GraphStats(

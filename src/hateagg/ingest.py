@@ -561,7 +561,7 @@ def bind_dataset(
         g = largest_wcc(graph)
         summary["dropped_by_wcc"] = graph.node_count - g.node_count
     else:
-        ids, index = extend_ids(graph.ids, graph.id_index, scores.users())
+        ids, index = extend_ids(graph.ids, graph.id_index, scores._users)
         g = graph if ids is graph.ids else SocialGraph(ids, *graph.edge_arrays(), index)
     rows = scores.rows_of(g.ids)
     scored = int(np.count_nonzero(rows >= 0))

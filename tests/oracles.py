@@ -163,6 +163,20 @@ def lexsort_csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, n
     return indptr, dst.astype(np.int32, copy=False)
 
 
+def gather_in_sums(src: np.ndarray, dst: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
+    """Per-node sum of ``values`` over followers: a gather over the in-CSR, then bincount.
+
+    The in-CSR comes from ``lexsort_csr`` of the reversed edges, and each
+    node's followers are summed in ascending order, as the library did when
+    it stored that view.
+    """
+    indptr, indices = lexsort_csr(dst, src, n)
+    if len(indices) == 0:
+        return np.zeros(n, dtype=np.float64)
+    rows = np.repeat(np.arange(n, dtype=np.intp), np.diff(indptr))
+    return np.bincount(rows, weights=values.take(indices), minlength=n)
+
+
 # -- binding -------------------------------------------------------------------
 
 
@@ -408,7 +422,7 @@ def sparse_product_clustering(g, chunk: int = 50_000) -> float:
     """
     from scipy.sparse import csr_matrix
 
-    indptr, indices = g.undirected_csr()
+    indptr, indices = g.csr("undirected")
     n = g.node_count
     und = csr_matrix(
         (np.ones(len(indices), dtype=np.float64), indices, indptr), shape=(n, n)
@@ -569,12 +583,7 @@ def gather_delta_sums(g, values: np.ndarray, direction: str) -> np.ndarray:
     The previous form of the DeGroot step's delta sum, with int32 row
     ids rebuilt from the CSR on every call.
     """
-    if direction == "out":
-        indptr, indices = g.out_indptr, g.out_indices
-    elif direction == "in":
-        indptr, indices = g.in_indptr, g.in_indices
-    else:
-        indptr, indices = g.undirected_csr()
+    indptr, indices = g.csr(direction)
     if len(indices) == 0:
         return np.zeros(g.node_count, dtype=np.float64)
     rows = np.repeat(np.arange(g.node_count, dtype=np.int32), np.diff(indptr))
@@ -585,13 +594,7 @@ def gather_delta_sums(g, values: np.ndarray, direction: str) -> np.ndarray:
 
 def gather_degroot_step(g, values: np.ndarray, direction: str) -> np.ndarray:
     """The previous ``degroot_step``: residual form with degrees from ``np.diff``."""
-    if direction == "out":
-        indptr = g.out_indptr
-    elif direction == "in":
-        indptr = g.in_indptr
-    else:
-        indptr, _ = g.undirected_csr()
-    deg = np.diff(indptr)
+    deg = np.diff(g.csr(direction)[0])
     return values + gather_delta_sums(g, values, direction) / (1.0 + deg)
 
 

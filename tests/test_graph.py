@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 from hateagg import (
     DegenerateDataError,
     InputError,
+    ScoreTable,
     SocialGraph,
+    bind_dataset,
     build_graph,
     clustering_coefficient,
     component_stats,
@@ -25,6 +27,7 @@ from hateagg import (
 import hateagg.graph as graph_module
 from oracles import (
     brute_clustering,
+    gather_in_sums,
     lexsort_csr,
     numeric_gamma,
     scipy_weak_components,
@@ -119,7 +122,8 @@ class TestBuildGraph:
                 i_f = fwd.id_index[uid]
                 i_r = rev.id_index[uid]
                 followees = fwd.out_indices[fwd.out_indptr[i_f] : fwd.out_indptr[i_f + 1]]
-                followers = rev.in_indices[rev.in_indptr[i_r] : rev.in_indptr[i_r + 1]]
+                in_ptr, in_idx = rev.csr("in")
+                followers = in_idx[in_ptr[i_r] : in_ptr[i_r + 1]]
                 out_f = sorted(fwd.ids[int(j)] for j in followees)
                 in_r = sorted(rev.ids[int(j)] for j in followers)
                 assert out_f == in_r
@@ -144,6 +148,15 @@ class TestBuildGraph:
     def test_reciprocal_edges_collapse_in_undirected_view(self):
         g = build_graph([("a", "b"), ("b", "a")])
         assert list(g.undirected_degrees()) == [1, 1]
+
+    def test_only_the_out_view_is_stored(self):
+        g = build_graph([("a", "b"), ("c", "b")])
+        assert g.csr("out") == (g.out_indptr, g.out_indices)
+        assert not hasattr(g, "in_indptr")
+        in_view = g.csr("in")
+        assert g.csr("in") is in_view  # built once, then cached
+        with pytest.raises(InputError, match="unknown direction 'sideways'"):
+            g.csr("sideways")
 
 
 class TestLargestWcc:
@@ -189,6 +202,24 @@ class TestLargestWcc:
         sub = largest_wcc(g)
         assert sub.ids == [g.ids[i] for i in np.flatnonzero(root == best)]
         assert sub.edge_count == int(np.count_nonzero(root[g.edge_arrays()[0]] == best))
+
+    def test_views_of_a_subgraph_built_without_a_sort(self):
+        # three components of unequal size plus isolated nodes; the largest
+        # one is spread over the index range, so the renumbering is not a shift
+        n = 30
+        rng = np.random.default_rng(3)
+        big = np.arange(0, n, 2)
+        pairs = [(big[i], big[j]) for i, j in rng.integers(0, len(big), size=(60, 2)) if i != j]
+        pairs += [(b, a) for a, b in pairs[:10]] + [(1, 3), (3, 5), (7, 9)]
+        pairs += [(a, b) for a, b in zip(big[:-1], big[1:])]  # keep it connected
+        src, dst = np.array(pairs).T
+        g = index_graph(n, src, dst)
+        sub = largest_wcc(g)
+        assert sub.ids == [f"n{i}" for i in big]
+        new = np.full(n, -1)
+        new[big] = np.arange(len(big))
+        inside = new[src] >= 0
+        assert_csr_matches_lexsort(sub, new[src[inside]], new[dst[inside]])
 
 
 class TestComponentStats:
@@ -378,6 +409,15 @@ class TestGraphStats:
             "powerlaw_gamma",
         }
 
+    def test_k_min_rejected_before_any_statistic(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a statistic ran before k_min was checked")
+
+        monkeypatch.setattr(graph_module, "clustering_coefficient", fail)
+        g = build_graph([("a", "b"), ("b", "c"), ("x", "y")])
+        with pytest.raises(InputError, match="k_min must be >= 1, got 0"):
+            graph_stats(g, k_min=0)
+
 
 def naive_intern(blocks):
     """Codes per block, ids and index, numbering each id when it is first seen."""
@@ -421,9 +461,31 @@ class TestNeighborSums:
         for a, b in edges:
             A[g.id_index[f"n{a}"], g.id_index[f"n{b}"]] = 1.0
         expect_out = A @ values
-        expect_in = A.T @ values
         assert np.allclose(g.neighbor_sums(values, "out"), expect_out, atol=1e-12)
-        assert np.allclose(g.neighbor_sums(values, "in"), expect_in, atol=1e-12)
+        src, dst = g.edge_arrays()
+        expect_in = gather_in_sums(src, dst, n, values)
+        assert np.array_equal(
+            g.neighbor_sums(values, "in").view(np.uint64), expect_in.view(np.uint64)
+        )
+
+    @given(n=st.integers(1, 30), data=st.data())
+    def test_in_sums_match_a_gather_bit_for_bit(self, n, data):
+        m = data.draw(st.integers(0, 80))  # 0: a graph with no edges
+        node = st.integers(0, n - 1)
+        src = np.array(data.draw(st.lists(node, min_size=m, max_size=m)), dtype=np.int64)
+        dst = np.array(data.draw(st.lists(node, min_size=m, max_size=m)), dtype=np.int64)
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        src, dst = np.concatenate([src, src[::3]]), np.concatenate([dst, dst[::3]])  # repeats
+        magnitude = st.floats(1e-5, 1e5)
+        value = st.one_of(magnitude, magnitude.map(lambda x: -x), st.just(-0.0))
+        values = np.array(data.draw(st.lists(value, min_size=n, max_size=n)), dtype=np.float64)
+        g = index_graph(n, src, dst)  # nodes no edge touches stay isolated
+        got = g.neighbor_sums(values, "in")
+        want = gather_in_sums(src, dst, n, values)
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(g.in_degrees(), np.diff(lexsort_csr(dst, src, n)[0]))
 
 
 def assert_csr_matches_lexsort(g, src, dst):
@@ -431,9 +493,9 @@ def assert_csr_matches_lexsort(g, src, dst):
     both_src = np.concatenate([src, dst])
     both_dst = np.concatenate([dst, src])
     views = (
-        ((g.out_indptr, g.out_indices), lexsort_csr(src, dst, n)),
-        ((g.in_indptr, g.in_indices), lexsort_csr(dst, src, n)),
-        (g.undirected_csr(), lexsort_csr(both_src, both_dst, n)),
+        (g.csr("out"), lexsort_csr(src, dst, n)),
+        (g.csr("in"), lexsort_csr(dst, src, n)),
+        (g.csr("undirected"), lexsort_csr(both_src, both_dst, n)),
     )
     for (indptr, indices), (want_ptr, want_idx) in views:
         assert np.array_equal(indptr, want_ptr)
@@ -464,3 +526,41 @@ class TestPackedKeyCsr:
         g = SocialGraph([f"n{i}" for i in range(n)], src, dst)
         assert g.out_indices.max() >= n - 40
         assert_csr_matches_lexsort(g, src.astype(np.int64), dst.astype(np.int64))
+
+
+def sort_then_dedup(keys):
+    return np.unique(np.asarray(keys, dtype=np.int64))
+
+
+class TestPackedKeys:
+    """``_packed_keys`` skips the sort for strictly increasing keys, and only for them."""
+
+    N = 50
+
+    def keys_of(self, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        return graph_module._packed_keys(keys // self.N, keys % self.N, self.N)
+
+    @given(st.lists(st.integers(0, 50 * 50 - 1), max_size=60))
+    def test_any_keys(self, keys):
+        for case in (sorted(set(keys)), sorted(keys), keys):  # increasing, repeats, as drawn
+            got = self.keys_of(case)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, sort_then_dedup(case))
+
+    @pytest.mark.parametrize(
+        "keys",
+        [[], [7], [1, 2, 40, 2499], [1, 2, 2, 3], [5, 5], [3, 1, 2], [1, 3, 2, 3], [2, 1]],
+    )
+    def test_edge_cases(self, keys):
+        assert np.array_equal(self.keys_of(keys), sort_then_dedup(keys))
+
+
+class TestBindExtension:
+    def test_appended_scored_users_keep_the_views(self):
+        g = build_graph([("b", "a"), ("c", "a"), ("a", "d"), ("d", "b"), ("b", "a")])
+        scores = ScoreTable.from_mapping({"z": [0.5], "a": [0.1], "e": [0.9, 0.2]})
+        ds = bind_dataset(g, scores, {"a": 1, "e": 0})
+        assert ds.graph.ids == ["b", "a", "c", "d", "e", "z"]
+        src, dst = g.edge_arrays()  # the parent's node indices hold in the extension
+        assert_csr_matches_lexsort(ds.graph, src.astype(np.int64), dst.astype(np.int64))

@@ -596,8 +596,8 @@ class TestBuildGraphMatchesOracle:
         assert g.ids == ids
         assert g.id_index == {u: i for i, u in enumerate(ids)}
         for (indptr, indices), (want_ptr, want_idx) in (
-            ((g.out_indptr, g.out_indices), lexsort_csr(src, dst, len(ids))),
-            ((g.in_indptr, g.in_indices), lexsort_csr(dst, src, len(ids))),
+            (g.csr("out"), lexsort_csr(src, dst, len(ids))),
+            (g.csr("in"), lexsort_csr(dst, src, len(ids))),
         ):
             assert np.array_equal(indptr, want_ptr)
             assert np.array_equal(indices, want_idx)
