@@ -67,34 +67,183 @@ def _csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarr
     return indptr, cols.astype(np.int32)
 
 
-def intern_ids(tokens: list, index: dict, ids: list) -> np.ndarray:
-    """Dense codes of ``tokens``, numbering ids in first-seen order.
+# _KEY_MASKS[r] keeps the first r bytes of a little-endian 8-byte word
+_KEY_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 
-    ``index`` (id -> code) and ``ids`` (code -> id) hold the ids seen so far
-    and are extended in place, so a stream can be interned block by block.
-    One ``setdefault`` pass maps each new id to ``base + its first position``;
-    ranking those first positions turns them into dense codes. Only the ids
-    whose code differs from that stored position are written again; they
-    follow the first repeated token, so when every token is new (a label
-    file, a first block) none is.
+
+def _utf8(ids: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(UTF-8 bytes of the ids, start of each id, end of each id).
+
+    Lone surrogates pass through, so every ``str`` has a key.
     """
-    base = len(ids)
-    first = np.fromiter(
-        map(index.setdefault, tokens, itertools.count(base)),
-        dtype=np.int64,
-        count=len(tokens),
-    )
-    starts = np.flatnonzero(first == np.arange(base, base + len(tokens)))
-    new = first >= base
-    rank = np.empty(len(tokens), dtype=np.int64)
-    rank[starts] = np.arange(base, base + len(starts))
-    first[new] = rank[first[new] - base]
-    new_ids = list(map(tokens.__getitem__, starts.tolist()))
-    # starts[k] >= k, and once it is greater it stays greater
-    stored = int(np.count_nonzero(starts == np.arange(len(starts))))
-    index.update(zip(new_ids[stored:], range(base + stored, base + len(new_ids))))
-    ids.extend(new_ids)
-    return first
+    text = "\n".join(ids)
+    if text.count("\n") == len(ids) - 1:  # no id holds a newline: encode once
+        data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+        ends = np.append(np.flatnonzero(data == 0x0A), len(data))
+        return data, np.append(0, ends[:-1] + 1), ends
+    encoded = [u.encode("utf-8", "surrogatepass") for u in ids]
+    ends = np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=len(ids)))
+    starts = np.append(0, ends[:-1]) if len(ids) else ends
+    return np.frombuffer(b"".join(encoded), dtype=np.uint8), starts, ends
+
+
+def _by_length(lengths: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """(length, positions in ascending order) of each distinct value of ``lengths``."""
+    if len(lengths) == 0:
+        return []
+    top = int(lengths.max())
+    if top == lengths.min():
+        return [(top, np.arange(len(lengths)))]
+    # a stable sort of 16-bit values is a radix sort
+    order = np.argsort(lengths.astype(np.uint16) if top < 1 << 16 else lengths, kind="stable")
+    counts = np.bincount(lengths)
+    present = np.flatnonzero(counts)
+    return list(zip(present.tolist(), np.split(order, np.cumsum(counts[present])[:-1])))
+
+
+def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sorted distinct keys, first index of each, index of each key among them)."""
+    order = np.argsort(key)
+    ranked = key[order]
+    head = np.empty(len(order), dtype=bool)
+    head[:1] = True
+    head[1:] = ranked[1:] != ranked[:-1]  # numpy before 2.0 has no string ufuncs
+    heads = np.flatnonzero(head)
+    run = np.empty(len(order), dtype=np.intp)
+    run[order] = np.cumsum(head) - 1
+    return ranked[heads], np.minimum.reduceat(order, heads), run
+
+
+def _keys(data: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
+    """Keys of the ids of ``length`` bytes at ``starts``; ``data`` ends in 8 zero bytes.
+
+    Up to 8 bytes, a key is the id read as a little-endian uint64 and masked
+    to its length; a longer id is its own bytes, as numpy ``S``. Every key
+    of a length holds all of the id's bytes, so equal keys are equal ids.
+    """
+    width = max(length, 8)
+    # a view at every byte offset, so one 1-d gather reads the keys
+    dtype = "<u8" if length <= 8 else f"S{length}"
+    keys = np.ndarray((len(data) - width + 1,), dtype, data, strides=(1,))[starts]
+    return keys & _KEY_MASKS[length] if length <= 8 else keys
+
+
+class KeyTable:
+    """Sorted keys of a list of distinct ids, with the code of each.
+
+    An id's key is its UTF-8 bytes (see ``_keys``). Ids are grouped by byte
+    length, which the group carries, so ``"a"`` and ``"a\\x00"`` stay apart.
+    Each group holds its keys sorted, so a lookup is a ``searchsorted``.
+    The sort order is that of the keys, not of the ids as Python strings.
+    """
+
+    def __init__(self) -> None:
+        self._groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # length -> keys, codes
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    @classmethod
+    def of(cls, ids: list[str]) -> "KeyTable":
+        """The table of distinct ids, ``ids[i]`` holding code ``i``."""
+        table = cls()
+        table.intern_strings(ids)
+        return table
+
+    def intern_strings(self, ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`intern` of Python strings."""
+        return self.intern(*_utf8(ids))
+
+    def intern(
+        self, data: np.ndarray, starts: np.ndarray, ends: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(code of each id, position of each new id in code order) of ids in UTF-8.
+
+        Id ``i`` is ``data[starts[i]:ends[i]]``. Ids not in the table join it
+        with the next codes, in the order of their first positions. One sort
+        per length finds the distinct ids, and only those are looked up.
+        """
+        pad = np.zeros(len(data) + 8, dtype=np.uint8)
+        pad[: len(data)] = data
+        groups, new_first = [], []
+        for length, where in _by_length(ends - starts):
+            distinct, first, run = _distinct(_keys(pad, starts[where], length))
+            code, at = self._lookup(length, distinct)
+            new = np.flatnonzero(code < 0)
+            new_first.append(where[first[new]])
+            groups.append((length, where, run, distinct, code, at, new))
+        new_first = np.concatenate([np.zeros(0, dtype=np.intp), *new_first])
+        # number the new ids by first position: a scan over the positions, no sort
+        taken = np.zeros(len(starts), dtype=bool)
+        taken[new_first] = True
+        rank = (np.cumsum(taken) + (self.size - 1))[new_first]
+        codes = np.empty(len(starts), dtype=np.int64)
+        done = 0
+        for length, where, run, distinct, code, at, new in groups:
+            code[new] = rank[done : done + len(new)]
+            done += len(new)
+            codes[where] = code[run]
+            self._insert(length, at[new], distinct[new], code[new])
+        self.size += len(new_first)
+        return codes, np.flatnonzero(taken)
+
+    def _lookup(self, length: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(code of each key, -1 if absent; its insertion point) among ``length``-byte ids."""
+        table, codes = self._groups.get(length, (keys[:0], np.zeros(0, dtype=np.int64)))
+        at = np.searchsorted(table, keys)
+        hit = np.flatnonzero(at < len(table))
+        hit = hit[table[at[hit]] == keys[hit]]
+        found = np.full(len(keys), -1, dtype=np.int64)
+        found[hit] = codes[at[hit]]
+        return found, at
+
+    def _insert(self, length: int, at: np.ndarray, keys: np.ndarray, codes: np.ndarray) -> None:
+        """Insert sorted new keys at their insertion points ``at``."""
+        table, old = self._groups.get(length, (keys[:0], codes[:0]))
+        if not len(table):
+            self._groups[length] = keys, codes
+        elif len(keys):
+            self._groups[length] = np.insert(table, at, keys), np.insert(old, at, codes)
+
+    def find(self, other: "KeyTable") -> np.ndarray:
+        """Code of each id of ``other`` (by its code there) in this table; -1 if absent."""
+        out = np.full(other.size, -1, dtype=np.int64)
+        for length, (keys, codes) in other._groups.items():
+            out[codes] = self._lookup(length, keys)[0]
+        return out
+
+    def codes_of(self, ids: list[str]) -> np.ndarray:
+        """Code of each of the ids; -1 if absent."""
+        query = KeyTable()
+        codes, _ = query.intern_strings(ids)
+        return self.find(query)[codes]
+
+    def take(self, codes: np.ndarray) -> "KeyTable":
+        """The table of the ids with the given codes, numbered in that order."""
+        renumber = np.full(self.size, -1, dtype=np.int64)
+        renumber[codes] = np.arange(len(codes))
+        out = KeyTable()
+        out.size = len(codes)
+        for length, (keys, old) in self._groups.items():
+            new = renumber[old]
+            kept = new >= 0
+            if kept.any():
+                out._groups[length] = keys[kept], new[kept]
+        return out
+
+    def extend(self, other: "KeyTable") -> "KeyTable":
+        """This table followed by ``other``, whose ids it must not hold; neither changes."""
+        out = KeyTable()
+        out._groups = dict(self._groups)
+        out.size = self.size + other.size
+        for length, (keys, codes) in other._groups.items():
+            out._insert(length, out._lookup(length, keys)[1], keys, codes + self.size)
+        return out
+
+
+def _pairs(ids: list, src: np.ndarray, dst: np.ndarray) -> Iterator[tuple[str, str]]:
+    return zip(map(ids.__getitem__, src.tolist()), map(ids.__getitem__, dst.tolist()))
 
 
 @dataclass
@@ -102,13 +251,12 @@ class EdgeList:
     """Directed edges as interned codes, one entry per input edge, in input order.
 
     Edge ``k`` runs from ``ids[src[k]]`` to ``ids[dst[k]]``; ids are numbered
-    in first-seen order, and ``index`` maps each id to its code (the graph
-    built from the list adopts it). Duplicates are kept; the graph collapses
-    them.
+    in first-seen order, and ``id_keys`` is their key table (the graph built
+    from the list adopts it). Duplicates are kept; the graph collapses them.
     """
 
     ids: list
-    index: dict
+    id_keys: KeyTable
     src: np.ndarray
     dst: np.ndarray
 
@@ -116,12 +264,14 @@ class EdgeList:
         return len(self.src)
 
     def __iter__(self) -> Iterator[tuple[str, str]]:
-        ids = self.ids
-        return zip(map(ids.__getitem__, self.src.tolist()), map(ids.__getitem__, self.dst.tolist()))
+        return _pairs(self.ids, self.src, self.dst)
 
     @classmethod
     def from_pairs(cls, edge_pairs: Iterable[tuple[str, str]]) -> "EdgeList":
-        """Intern (follower, followee) pairs; rejects malformed pairs, empty ids and self-loops."""
+        """Intern (follower, followee) pairs; rejects malformed pairs, bad ids and self-loops.
+
+        An id must be a non-empty ``str``.
+        """
         pairs = list(edge_pairs)
         try:
             well_formed = set(map(len, pairs)) <= {2}
@@ -129,22 +279,27 @@ class EdgeList:
             well_formed = False
         if not well_formed:
             _raise_bad_pair(pairs)
-        ids: list = []
-        index: dict = {}
-        codes = intern_ids(list(itertools.chain.from_iterable(pairs)), index, ids)
+        tokens = list(itertools.chain.from_iterable(pairs))
+        if not all(map(isinstance, tokens, itertools.repeat(str))):
+            _raise_bad_pair(pairs)
+        keys = KeyTable()
+        codes, first = keys.intern_strings(tokens)
+        ids = list(map(tokens.__getitem__, first.tolist()))
         src, dst = codes[0::2], codes[1::2]
         if not all(ids) or np.any(src == dst):
             _raise_bad_pair(pairs)
-        return cls(ids, index, src, dst)
+        return cls(ids, keys, src, dst)
 
 
 def _raise_bad_pair(pairs: list) -> None:
-    """Raise for the first malformed pair, empty id or self-loop, by position."""
+    """Raise for the first malformed pair, non-string or empty id or self-loop, by position."""
     for pos, pair in enumerate(pairs, start=1):
         try:
             u, v = pair
         except (TypeError, ValueError):
             raise InputError(f"edge {pos}: expected a (src, dst) pair, got {pair!r}")
+        if not isinstance(u, str) or not isinstance(v, str):
+            raise InputError(f"edge {pos}: expected string user ids, got ({u!r}, {v!r})")
         if not u or not v:
             raise InputError(f"edge {pos}: empty user id in ({u!r}, {v!r})")
         if u == v:
@@ -223,22 +378,36 @@ class SocialGraph:
     ----------
     ids : list[str]
         Node index -> external user id (the id_map, forward direction).
+    id_keys : KeyTable
+        The ids' key table, which maps ids to node indices in bulk. A caller
+        that already holds it for ``ids`` passes it; it is adopted, not
+        copied. Otherwise it is built on first use.
     id_index : dict[str, int]
-        External user id -> node index (the id_map, reverse direction).
-        A caller that already holds this map for ``ids`` passes it as
-        ``index``; it is adopted, not copied.
+        External user id -> node index, one id at a time; built on first use.
     """
 
     def __init__(
-        self, ids: list[str], src: np.ndarray, dst: np.ndarray, index: dict | None = None
+        self, ids: list[str], src: np.ndarray, dst: np.ndarray, id_keys: KeyTable | None = None
     ):
-        n = len(ids)
         self.ids = ids
-        self.id_index = dict(zip(ids, range(n))) if index is None else index
-        self.out_indptr, self.out_indices = _csr(src, dst, n)
+        self._id_keys = id_keys
+        self._id_index: dict[str, int] | None = None
+        self.out_indptr, self.out_indices = _csr(src, dst, len(ids))
         self._views: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._components: tuple[int, np.ndarray] | None = None
         self._step_of: dict[str, StepLayout] = {}
+
+    @property
+    def id_keys(self) -> KeyTable:
+        if self._id_keys is None:
+            self._id_keys = KeyTable.of(self.ids)
+        return self._id_keys
+
+    @property
+    def id_index(self) -> dict[str, int]:
+        if self._id_index is None:
+            self._id_index = dict(zip(self.ids, range(len(self.ids))))
+        return self._id_index
 
     # -- basic shape -------------------------------------------------------
 
@@ -258,7 +427,7 @@ class SocialGraph:
 
     def edges(self) -> Iterator[tuple[str, str]]:
         """Directed edges as (follower_id, followee_id) pairs, sorted by index."""
-        return iter(EdgeList(self.ids, self.id_index, *self.edge_arrays()))
+        return _pairs(self.ids, *self.edge_arrays())
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Directed edges as (src_indices, dst_indices)."""
@@ -349,16 +518,23 @@ class GraphStats:
         return asdict(self)
 
 
-def extend_ids(ids: list, index: dict, extra: Iterable[str]) -> tuple[list, dict]:
-    """``(ids, index)`` with the ``extra`` ids not in ``index`` appended, sorted.
+def extend_ids(
+    ids: list, keys: KeyTable, extra: list[str], extra_keys: KeyTable
+) -> tuple[list, KeyTable, np.ndarray]:
+    """``(ids, keys, at)`` with the distinct ``extra`` ids that ``keys`` lacks appended, sorted.
 
-    Sorting keeps node indexing independent of set iteration order. The
-    inputs are returned as they are when nothing is new, and never changed.
+    ``extra_keys`` is the key table of ``extra``, and ``at[i]`` is the index
+    of ``extra[i]`` in the returned ids. Sorting keeps node indexing
+    independent of input order. The inputs are returned as they are when
+    nothing is new, and never changed.
     """
-    new = sorted(set(itertools.filterfalse(index.__contains__, extra)))
-    if not new:
-        return ids, index
-    return ids + new, index | dict(zip(new, itertools.count(len(ids))))
+    at = keys.find(extra_keys)
+    missing = np.flatnonzero(at < 0)
+    if not len(missing):
+        return ids, keys, at
+    order = sorted(missing.tolist(), key=extra.__getitem__)
+    at[order] = np.arange(len(ids), len(ids) + len(order))
+    return ids + list(map(extra.__getitem__, order)), keys.extend(extra_keys.take(order)), at
 
 
 def build_graph(
@@ -369,17 +545,21 @@ def build_graph(
 
     ``edge_pairs`` may also be an :class:`EdgeList` (what
     :func:`hateagg.ingest.read_edges` returns), which is already interned.
-    Duplicate edges are collapsed. Self-loops and empty ids are rejected with
-    the offending pair's position. ``isolated_ids`` registers nodes with no
-    edges; they are appended after all edge endpoints, in sorted order so node
-    indexing never depends on set iteration order.
+    Duplicate edges are collapsed. Self-loops, non-string and empty ids are
+    rejected with the offending pair's position. ``isolated_ids`` registers
+    nodes with no edges; they are appended after all edge endpoints, in
+    sorted order so node indexing never depends on set iteration order.
     """
     edges = edge_pairs if isinstance(edge_pairs, EdgeList) else EdgeList.from_pairs(edge_pairs)
-    isolated = set(isolated_ids)
+    isolated = list(isolated_ids)
+    for pos, u in enumerate(isolated, start=1):
+        if not isinstance(u, str):
+            raise InputError(f"isolated id {pos}: expected a string, got {u!r}")
     if "" in isolated:
         raise InputError("isolated id must be nonempty")
-    ids, index = extend_ids(edges.ids, edges.index, isolated)
-    return SocialGraph(ids, edges.src, edges.dst, index)
+    isolated = sorted(set(isolated))
+    ids, keys, _ = extend_ids(edges.ids, edges.id_keys, isolated, KeyTable.of(isolated))
+    return SocialGraph(ids, edges.src, edges.dst, keys)
 
 
 def _component_roots(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -427,8 +607,10 @@ def largest_wcc(g: SocialGraph) -> SocialGraph:
 
     src, dst = g.edge_arrays()
     mask = member[src]  # weak components are edge-closed
-    new_ids = list(map(g.ids.__getitem__, np.flatnonzero(member).tolist()))
-    return SocialGraph(new_ids, remap[src[mask]], remap[dst[mask]])
+    kept = np.flatnonzero(member)
+    new_ids = list(map(g.ids.__getitem__, kept.tolist()))
+    keys = None if g._id_keys is None else g._id_keys.take(kept)  # built only if g has one
+    return SocialGraph(new_ids, remap[src[mask]], remap[dst[mask]], keys)
 
 
 def component_stats(g: SocialGraph) -> ComponentCounts:

@@ -16,26 +16,29 @@ the deployment uses; this package never sees text.
 
 The parsers read ``_BLOCK_CHARS`` characters at a time, cut at a line end. A
 bare block, which no ``strip`` would change, is tokenized on its UTF-8 bytes
-with numpy: the separators are found in one pass, ids are deduplicated on
-packed integer keys, and only the block's distinct ids become Python strings
-(``_BareBlock``). Other blocks go through the per-line ``strip`` path
-(``_checked_lines``). Both feed the same bulk checks, and a block that fails
-one is re-read line by line (``_rescan_*``) to raise the first bad line's
-error, so messages and line numbers are those of a line-by-line parse.
+with numpy: the separators are found in one pass, and its score column is
+cast from bytes (``_BareBlock``). Other blocks go through the per-line
+``strip`` path (``_checked_lines``). Either way the ids of a file go through
+one ``KeyTable``: each block's distinct ids are found by sorting their
+packed keys and are looked up in the table, so a Python string is made only
+for an id the file has not shown before. Both paths feed the same bulk checks,
+and a block that fails one is re-read line by line (``_rescan_*``) to raise
+the first bad line's error, so messages and line numbers are those of a
+line-by-line parse.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import itertools
 from dataclasses import dataclass, field
 from typing import IO, Iterable, Iterator, Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import InputError
-from .graph import EdgeList, SocialGraph, extend_ids, intern_ids, largest_wcc
+from .graph import EdgeList, KeyTable, SocialGraph, extend_ids, largest_wcc
 from .serialize import write_rows
 
 __all__ = [
@@ -54,10 +57,6 @@ __all__ = [
 
 # characters read per block: only one block's text, offsets and tokens are alive at once
 _BLOCK_CHARS = 1 << 20
-# ids of up to this many 8-byte words are told apart by packed integer keys
-_KEY_WORDS = 8
-# _KEY_MASKS[r] keeps the first r bytes of a little-endian 8-byte word
-_KEY_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 
 
 def _text_blocks(stream: IO[str] | str) -> Iterator[tuple[int, str]]:
@@ -98,9 +97,7 @@ class _BareBlock:
     """A block that needs no normalizing, held as byte offsets into its UTF-8 text.
 
     Field ``k`` of line ``i`` is ``data[starts[i, k]:ends[i, k]]``, and
-    ``ends[i, k]`` is the comma or newline after it. Ids are deduplicated on
-    packed integer keys, so only a block's distinct ids become Python
-    strings.
+    ``ends[i, k]`` is the comma or newline after it.
     """
 
     def __init__(self, data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
@@ -135,12 +132,13 @@ class _BareBlock:
         return cls(data, starts, ends)
 
     def _strings(self, starts: np.ndarray, ends: np.ndarray) -> list[str]:
-        # keep each field and the separator after it, make every separator a
-        # newline and split once: one C-level split builds all the strings
-        bounds = np.zeros(len(self.data) + 1, dtype=np.int8)
-        bounds[starts] = 1
-        bounds[ends + 1] -= 1
-        kept = self.data[np.cumsum(bounds[:-1], dtype=np.int8).view(bool)]
+        # gather each field and the separator after it, make every separator
+        # a newline and split once: one C-level split builds all the strings
+        if len(starts) == 0:
+            return []
+        sizes = ends + 1 - starts
+        offsets = np.cumsum(sizes) - sizes
+        kept = self.data[np.arange(offsets[-1] + sizes[-1]) + np.repeat(starts - offsets, sizes)]
         kept[kept == 0x2C] = 0x0A
         return kept[:-1].tobytes().decode().split("\n")
 
@@ -148,31 +146,40 @@ class _BareBlock:
         """Field ``column`` of every line."""
         return self._strings(self.starts[:, column], self.ends[:, column])
 
-    def ids(self, index: dict, ids: list, column: int | None = None) -> np.ndarray:
-        """Interned codes of field ``column`` (None: every field) in line order.
+    def floats(self, column: int) -> np.ndarray:
+        """Field ``column`` of every line as floats, as ``float()`` reads it.
 
-        An id of up to ``_KEY_WORDS`` words is read through an 8-byte window
-        per word, masked to its length (no bare id holds a zero byte, so the
-        zero fill tells no two apart); one sort finds the block's distinct
-        ids, and only those, in first-seen order, are interned. A block
-        holding a longer id, or whose keys would outgrow 8 bytes per byte of
-        the block, interns every field instead.
+        The fields are cast from bytes, which numpy parses with CPython's
+        float parser. A field the cast rejects but ``float()`` may read (say,
+        Arabic-Indic digits), or a column too wide to copy, goes through
+        ``float()`` on each string; ValueError if a field is not a number.
+        """
+        starts, ends = self.starts[:, column], self.ends[:, column]
+        lengths = ends - starts
+        width = int(lengths.max())
+        if width * len(starts) <= len(self.data):
+            pad = np.zeros(len(self.data) + width, dtype=np.uint8)
+            pad[: len(self.data)] = self.data
+            # a view at every byte offset, so one 1-d gather copies the fields
+            fields = np.ndarray((len(self.data),), f"S{width}", pad, strides=(1,))[starts]
+            chars = fields.view(np.uint8).reshape(-1, width)
+            chars[np.arange(width) >= lengths[:, None]] = 0  # numpy S ends at zero bytes
+            try:
+                return fields.astype(np.float64)
+            except ValueError:
+                pass
+        return _floats(self.strings(column))
+
+    def ids(self, keys: KeyTable, ids: list, column: int | None = None) -> np.ndarray:
+        """Codes of field ``column`` (None: every field) in line order, interned in ``keys``.
+
+        New ids are appended to ``ids``; only they become Python strings.
         """
         starts = (self.starts if column is None else self.starts[:, column]).ravel()
         ends = (self.ends if column is None else self.ends[:, column]).ravel()
-        lengths = ends - starts
-        words = (int(lengths.max()) + 7) // 8
-        if words > _KEY_WORDS or words * len(starts) > len(self.data):
-            return intern_ids(self._strings(starts, ends), index, ids)
-        pad = np.zeros(len(self.data) + 8 * _KEY_WORDS, dtype=np.uint8)
-        pad[: len(self.data)] = self.data
-        windows = as_strided(pad, (len(pad) - 7, 8), (1, 1), writeable=False)
-        keys = [
-            windows[starts + 8 * j].view("<u8")[:, 0] & _KEY_MASKS[np.clip(lengths - 8 * j, 0, 8)]
-            for j in range(words)
-        ]
-        first, inverse = _first_seen(keys)
-        return intern_ids(self._strings(starts[first], ends[first]), index, ids)[inverse]
+        codes, new = keys.intern(self.data, starts, ends)
+        ids.extend(self._strings(starts[new], ends[new]))
+        return codes
 
 
 class _SplitBlock:
@@ -185,32 +192,20 @@ class _SplitBlock:
         """Field ``column`` of every line, as split (float and int skip whitespace)."""
         return self.tokens[column :: self.fields]
 
-    def ids(self, index: dict, ids: list, column: int | None = None) -> np.ndarray:
-        """Interned codes of field ``column`` (None: every field), stripped, in line order."""
-        tokens = self.tokens if column is None else self.strings(column)
-        return intern_ids(list(map(str.strip, tokens)), index, ids)
+    def floats(self, column: int) -> np.ndarray:
+        """Field ``column`` of every line through ``float()``; ValueError if one is not a number."""
+        return _floats(self.strings(column))
+
+    def ids(self, keys: KeyTable, ids: list, column: int | None = None) -> np.ndarray:
+        """Codes of field ``column`` (None: every field), stripped, interned in ``keys``."""
+        tokens = list(map(str.strip, self.tokens if column is None else self.strings(column)))
+        codes, new = keys.intern_strings(tokens)
+        ids.extend(map(tokens.__getitem__, new.tolist()))
+        return codes
 
 
-def _first_seen(keys: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(first position of each distinct row, ascending; distinct number of each row).
-
-    Row ``i`` is ``(keys[0][i], keys[1][i], ...)``; distinct rows are
-    numbered in the order of their first positions.
-    """
-    order = np.argsort(keys[0]) if len(keys) == 1 else np.lexsort(keys)
-    head = np.zeros(len(order), dtype=bool)
-    head[0] = True
-    for key in keys:
-        ranked = key[order]
-        head[1:] |= ranked[1:] != ranked[:-1]
-    heads = np.flatnonzero(head)
-    first = np.minimum.reduceat(order, heads)
-    by_first = np.argsort(first)
-    number = np.empty(len(heads), dtype=np.intp)
-    number[by_first] = np.arange(len(heads))
-    inverse = np.empty(len(order), dtype=np.intp)
-    inverse[order] = number[np.cumsum(head) - 1]
-    return first[by_first], inverse
+def _floats(texts: list[str]) -> np.ndarray:
+    return np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
 
 
 def _checked_lines(raw: list[str], fields: int, comments: bool) -> list[str] | None:
@@ -245,20 +240,21 @@ def read_edges(stream: IO[str] | str) -> EdgeList:
     line number.
     """
     ids: list[str] = []
-    index: dict[str, int] = {}
+    keys = KeyTable()
     srcs, dsts = [], []
     for first, text in _text_blocks(stream):
         block = _fields(text, 2, comments=True)
         if block is None:
             _rescan_edges(first, text)
-        codes = block.ids(index, ids)
+        base = len(ids)
+        codes = block.ids(keys, ids)
         src, dst = codes[0::2], codes[1::2]
-        if "" in index or np.any(src == dst):
+        if "" in ids[base:] or np.any(src == dst):
             _rescan_edges(first, text)
         srcs.append(src)
         dsts.append(dst)
     empty = np.zeros(0, dtype=np.int64)
-    return EdgeList(ids, index, np.concatenate([empty, *srcs]), np.concatenate([empty, *dsts]))
+    return EdgeList(ids, keys, np.concatenate([empty, *srcs]), np.concatenate([empty, *dsts]))
 
 
 def _rescan_edges(first: int, text: str) -> None:
@@ -282,9 +278,9 @@ class ScoreTable:
 
     User ``users()[j]`` owns ``values[offsets[j]:offsets[j + 1]]``. Users
     appear in first-seen order, scores keep file order within a user, and a
-    user may own zero posts. The ``users`` list is adopted, not copied, and
-    so is ``index`` when a caller that already holds the user -> row map
-    passes it.
+    user may own zero posts. ``id_keys`` is the users' key table, which maps
+    users to rows in bulk. The ``users`` list is adopted, not copied, and so
+    is ``id_keys`` when a caller that already holds it passes it.
     """
 
     def __init__(
@@ -292,11 +288,11 @@ class ScoreTable:
         users: list[str],
         offsets: np.ndarray,
         values: np.ndarray,
-        index: dict | None = None,
+        id_keys: KeyTable | None = None,
     ) -> None:
         self._users = users
-        self._row = dict(zip(self._users, range(len(self._users)))) if index is None else index
-        if len(self._row) != len(self._users):
+        self.id_keys = KeyTable.of(users) if id_keys is None else id_keys
+        if len(self.id_keys) != len(self._users):
             raise InputError("score table users must be distinct")
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
@@ -323,26 +319,33 @@ class ScoreTable:
     def users(self) -> list[str]:
         return list(self._users)
 
-    def scores(self, user: str) -> np.ndarray:
-        j = self._row.get(user)
+    @functools.cached_property
+    def _index(self) -> dict[str, int]:
+        # for lookups one user at a time; built on first use
+        return dict(zip(self._users, range(len(self._users))))
+
+    def _segment(self, user: str) -> np.ndarray:
+        j = self._index.get(user)
         if j is None:
             raise InputError(f"unknown user {user!r} in score table")
-        return self.values[self.offsets[j] : self.offsets[j + 1]].copy()
+        return self.values[self.offsets[j] : self.offsets[j + 1]]
+
+    def scores(self, user: str) -> np.ndarray:
+        return self._segment(user).copy()
 
     def n_posts(self, user: str) -> int:
-        j = self._row[user]
-        return int(self.offsets[j + 1] - self.offsets[j])
+        return len(self._segment(user))
 
     def __len__(self) -> int:
         return len(self._users)
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        for user in self._users:
-            yield user, self.scores(user)
+        for j, user in enumerate(self._users):
+            yield user, self.values[self.offsets[j] : self.offsets[j + 1]].copy()
 
     def rows_of(self, users: Iterable[str]) -> np.ndarray:
         """Row of each user in ``users``, -1 for users not in the table."""
-        return _rows_in(self._row, users)
+        return self.id_keys.codes_of(list(users))
 
     def segments(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(offsets, values) of the given rows, concatenated in the given order.
@@ -357,27 +360,22 @@ class ScoreTable:
         return offsets, self.values[gather]
 
 
-def _rows_in(index: dict, users: Iterable[str]) -> np.ndarray:
-    """Position of each user in ``index``, -1 for users not in it."""
-    return np.fromiter(map(index.get, users, itertools.repeat(-1)), dtype=np.int64)
-
-
 def parse_scores(stream: IO[str] | str) -> ScoreTable:
     """Parse a score file; rejects non-numeric or out-of-range scores."""
     users: list[str] = []
-    index: dict[str, int] = {}
+    keys = KeyTable()
     codes, values = [], []
     for first, text in _text_blocks(stream):
         block = _fields(text, 3, comments=False)
         if block is None:
             _rescan_scores(first, text)
-        scores = block.strings(2)
         try:
-            value = np.fromiter(map(float, scores), dtype=np.float64, count=len(scores))
+            value = block.floats(2)
         except ValueError:
             _rescan_scores(first, text)
-        code = block.ids(index, users, 0)
-        if "" in index or not np.all((value >= 0.0) & (value <= 1.0)):
+        base = len(users)
+        code = block.ids(keys, users, 0)
+        if "" in users[base:] or not np.all((value >= 0.0) & (value <= 1.0)):
             _rescan_scores(first, text)
         codes.append(code)
         values.append(value)
@@ -386,7 +384,7 @@ def parse_scores(stream: IO[str] | str) -> ScoreTable:
     order = np.argsort(code, kind="stable")
     offsets = np.zeros(len(users) + 1, dtype=np.int64)
     np.cumsum(np.bincount(code, minlength=len(users)), out=offsets[1:])
-    return ScoreTable(users, offsets, np.concatenate([np.zeros(0), *values])[order], index)
+    return ScoreTable(users, offsets, np.concatenate([np.zeros(0), *values])[order], keys)
 
 
 def _rescan_scores(first: int, text: str) -> None:
@@ -416,24 +414,24 @@ def parse_labels(stream: IO[str] | str) -> dict[str, int]:
     Consistent duplicates are tolerated.
     """
     users: list[str] = []
-    index: dict[str, int] = {}
+    keys = KeyTable()
     known = np.zeros(0, dtype=np.int64)  # each user's first label, by code
     # label texts are interned like ids, so int() reads each distinct text once
     texts: list[str] = []
-    text_index: dict[str, int] = {}
+    text_keys = KeyTable()
     text_label = np.zeros(0, dtype=np.int64)
     for first, text in _text_blocks(stream):
         base = len(users)
         block = _fields(text, 2, comments=False)
         if block is None:
             _rescan_labels(first, text, users[:base], known)
-        code = block.ids(index, users, 0)
-        text_code = block.ids(text_index, texts, 1)
+        code = block.ids(keys, users, 0)
+        text_code = block.ids(text_keys, texts, 1)
         try:
             values = list(map(int, texts[len(text_label) :]))
         except ValueError:
             _rescan_labels(first, text, users[:base], known)
-        if "" in index or not set(values) <= {0, 1}:
+        if "" in users[base:] or not set(values) <= {0, 1}:
             _rescan_labels(first, text, users[:base], known)
         text_label = np.concatenate([text_label, np.array(values, dtype=np.int64)])
         label = text_label[text_code]
@@ -560,21 +558,23 @@ def bind_dataset(
     if policy.restrict_to_wcc:
         g = largest_wcc(graph)
         summary["dropped_by_wcc"] = graph.node_count - g.node_count
+        rows = scores.id_keys.find(g.id_keys)  # the score row of each node, -1 if none
     else:
-        ids, index = extend_ids(graph.ids, graph.id_index, scores._users)
-        g = graph if ids is graph.ids else SocialGraph(ids, *graph.edge_arrays(), index)
-    rows = scores.rows_of(g.ids)
+        ids, keys, at = extend_ids(graph.ids, graph.id_keys, scores._users, scores.id_keys)
+        g = graph if ids is graph.ids else SocialGraph(ids, *graph.edge_arrays(), keys)
+        rows = np.full(g.node_count, -1, dtype=np.int64)
+        rows[at] = np.arange(len(scores))
     scored = int(np.count_nonzero(rows >= 0))
     summary["dropped_scored_users"] = len(scores) - scored
 
     users = list(labels)
-    node = _rows_in(g.id_index, users)
+    node = g.id_keys.codes_of(users)
     bound = node >= 0
     # a label off the bound graph is dropped, unless no input knows its user
     off = np.flatnonzero(~bound)
     missing = [users[i] for i in off.tolist()]
     unknown = np.zeros(len(users), dtype=bool)
-    unknown[off] = (_rows_in(graph.id_index, missing) < 0) & (scores.rows_of(missing) < 0)
+    unknown[off] = (graph.id_keys.codes_of(missing) < 0) & (scores.rows_of(missing) < 0)
     unscored = np.zeros(len(users), dtype=bool)
     unscored[bound] = rows[node[bound]] < 0
     bad = unknown if policy.allow_zero_post_users else unknown | unscored
@@ -597,7 +597,7 @@ def bind_dataset(
     summary["labeled_users"] = len(users) - len(off)
     return Dataset(
         graph=g,
-        scores=ScoreTable(g.ids, *scores.segments(rows), g.id_index),
+        scores=ScoreTable(g.ids, *scores.segments(rows), g.id_keys),
         labels=column,
         discard_summary=summary,
     )

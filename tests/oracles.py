@@ -130,6 +130,8 @@ def naive_build_graph(edge_pairs, isolated_ids=()) -> tuple[list, np.ndarray, np
             u, v = pair
         except (TypeError, ValueError):
             raise InputError(f"edge {pos}: expected a (src, dst) pair, got {pair!r}")
+        if not isinstance(u, str) or not isinstance(v, str):
+            raise InputError(f"edge {pos}: expected string user ids, got ({u!r}, {v!r})")
         if not u or not v:
             raise InputError(f"edge {pos}: empty user id in ({u!r}, {v!r})")
         if u == v:
@@ -137,6 +139,10 @@ def naive_build_graph(edge_pairs, isolated_ids=()) -> tuple[list, np.ndarray, np
         src_list.append(intern(u))
         dst_list.append(intern(v))
 
+    isolated_ids = list(isolated_ids)
+    for pos, u in enumerate(isolated_ids, start=1):
+        if not isinstance(u, str):
+            raise InputError(f"isolated id {pos}: expected a string, got {u!r}")
     for u in sorted(set(isolated_ids)):
         if not u:
             raise InputError("isolated id must be nonempty")

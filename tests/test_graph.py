@@ -130,12 +130,14 @@ class TestBuildGraph:
 
     def test_graph_adopts_the_edge_list_index(self):
         edges = read_edges("a,b\nb,c\n")
-        assert edges.index == {"a": 0, "b": 1, "c": 2}
-        assert build_graph(edges).id_index is edges.index
+        assert edges.id_keys.codes_of(["a", "b", "c", "y"]).tolist() == [0, 1, 2, -1]
+        assert build_graph(edges).id_keys is edges.id_keys
         g = build_graph(edges, isolated_ids=("z", "a", "y"))
         assert g.id_index == {"a": 0, "b": 1, "c": 2, "y": 3, "z": 4}
+        assert g.id_keys.codes_of(["z", "y", "c", "x"]).tolist() == [4, 3, 2, -1]
         # extending for isolated ids copies: the edge list stays as read
-        assert edges.index == {"a": 0, "b": 1, "c": 2}
+        assert len(edges.id_keys) == 3
+        assert edges.id_keys.codes_of(["a", "b", "c", "y", "z"]).tolist() == [0, 1, 2, -1, -1]
         assert edges.ids == ["a", "b", "c"]
 
     def test_isolated_ids_registered(self):
@@ -144,6 +146,9 @@ class TestBuildGraph:
         assert g.edge_count == 1
         # isolated ids appended in sorted order for stable indexing
         assert g.ids[2:] == ["y", "z"]
+        with pytest.raises(InputError) as got:
+            build_graph([("a", "b")], isolated_ids=("z", 5))
+        assert str(got.value) == "isolated id 2: expected a string, got 5"
 
     def test_reciprocal_edges_collapse_in_undirected_view(self):
         g = build_graph([("a", "b"), ("b", "a")])
@@ -426,28 +431,46 @@ def naive_intern(blocks):
     return codes, list(index), index
 
 
+def intern_blocks(blocks):
+    """Codes per block and ids, interned block by block through one key table."""
+    keys = graph_module.KeyTable()
+    ids: list = []
+    codes = []
+    for block in blocks:
+        got, new = keys.intern_strings(list(block))
+        ids += [block[i] for i in new.tolist()]
+        codes.append(got.tolist())
+    return codes, ids, keys
+
+
 class TestInternIds:
     def test_block_mixing_old_and_new_ids(self):
-        index: dict = {}
-        ids: list = []
-        first = graph_module.intern_ids(["a", "b", "a"], index, ids)
         # new ids both before and after the first repeated token
-        mixed = graph_module.intern_ids(["c", "a", "d", "c", "b", "e", "d"], index, ids)
-        assert first.tolist() == [0, 1, 0]
-        assert mixed.tolist() == [2, 0, 3, 2, 1, 4, 3]
+        codes, ids, keys = intern_blocks([["a", "b", "a"], ["c", "a", "d", "c", "b", "e", "d"]])
+        assert codes == [[0, 1, 0], [2, 0, 3, 2, 1, 4, 3]]
         assert ids == ["a", "b", "c", "d", "e"]
-        assert index == {"a": 0, "b": 1, "c": 2, "d": 3, "e": 4}
+        assert len(keys) == 5
+        assert keys.codes_of(["e", "a", "f", "d"]).tolist() == [4, 0, -1, 3]
 
-    @given(st.lists(st.lists(st.sampled_from("abcdefgh"), max_size=12), max_size=5))
+    @given(
+        st.lists(
+            st.lists(
+                # one, two and more 8-byte words; ids equal but for trailing zero bytes
+                st.sampled_from(["a", "b", "a\x00", "a\x00\x00", "", "\x00", "ü", "12345678",
+                                 "123456789", "x" * 16, "x" * 64, "x" * 65, "\ud800", "a\nb"]),
+                max_size=12,
+            ),
+            max_size=5,
+        )
+    )
     def test_blocks_match_first_seen_numbering(self, blocks):
-        index: dict = {}
-        ids: list = []
-        got = [graph_module.intern_ids(list(b), index, ids).tolist() for b in blocks]
+        got_codes, got_ids, keys = intern_blocks(blocks)
         want_codes, want_ids, want_index = naive_intern(blocks)
-        assert got == want_codes
-        assert ids == want_ids
-        assert index == want_index
-        assert list(index) == ids
+        assert got_codes == want_codes
+        assert got_ids == want_ids
+        assert len(keys) == len(want_index)
+        probe = list(want_index) + ["zz", "a\x00\x00\x00"]
+        assert keys.codes_of(probe).tolist() == [want_index.get(u, -1) for u in probe]
 
 
 class TestNeighborSums:

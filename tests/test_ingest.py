@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hateagg import graph as graph_module
 from hateagg import ingest
 from hateagg import (
     AggregationConfig,
@@ -93,6 +94,13 @@ class TestParseScores:
         table = parse_scores("u1,p1,0.5\n")
         with pytest.raises(InputError):
             table.scores("nobody")
+
+    def test_unknown_user_post_count_rejected(self):
+        table = parse_scores("u1,p1,0.5\n")
+        assert table.n_posts("u1") == 1
+        with pytest.raises(InputError) as got:
+            table.n_posts("zz")
+        assert str(got.value) == "unknown user 'zz' in score table"
 
     def test_offsets_must_start_at_zero_and_not_decrease(self):
         with pytest.raises(InputError, match="offsets"):
@@ -220,8 +228,10 @@ class TestBindDataset:
         graph = build_graph(read_edges("a,b\n"))
         for scores in ("b,p,0.1\na,p,0.9\n", "a,p,0.9\nghost,p,0.5\n"):
             ds = bind_dataset(graph, parse_scores(scores), {})
-            assert ds.scores._row is ds.graph.id_index
+            assert ds.scores.id_keys is ds.graph.id_keys
             assert ds.scores.rows_of(ds.graph.ids).tolist() == list(range(ds.graph.node_count))
+        # extending the graph with "ghost" left the input graph's table as it was
+        assert graph.id_keys.codes_of(["a", "b", "ghost"]).tolist() == [0, 1, -1]
         assert graph.id_index == {"a": 0, "b": 1}
 
     def test_misaligned_dataset_rejected(self):
@@ -295,7 +305,11 @@ class TestRoundTrips:
 
 # -- bulk parsers against the line-by-line oracles ------------------------------
 
-IDS = ["a", "b", "c", "dd", "ü", "x y", "名前", "#h"]
+# "a", "a\x00" and "a\x00\x00" differ only by trailing zero bytes; the
+# 8-, 16-, 64- and 65-byte ids fill one, two and eight 8-byte words exactly
+# and one byte past them
+IDS = ["a", "b", "c", "dd", "ü", "x y", "名前", "a\x00", "a\x00\x00", "abcdefgh", "ü" * 8,
+       "y" * 64, "y" * 63 + "é", "#h"]
 PAD = st.sampled_from(["", " ", "\t", "  "])
 ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 
@@ -312,10 +326,22 @@ def edge_line(draw, bad: bool):
     return draw(st.sampled_from(good + broken if bad else good))
 
 
+# score texts whose bits a parser may get wrong: the repr of any double in
+# [0, 1] (subnormals and -0.0 among them), 17 to 25 significant digits, and
+# an underscore, which float() accepts between digits
+SCORE_TEXT = st.one_of(
+    st.floats(-0.0, 1.0).map(repr),
+    st.text("0123456789", min_size=17, max_size=25).map(lambda d: f"0.{d}"),
+    st.sampled_from(["0.0_1", "-0.0", "-0"]),
+)
+
+
 @st.composite
 def score_line(draw, bad: bool):
     u = draw(st.sampled_from(IDS[:-1]))  # "#h" is a plain id in a score file
-    score = draw(st.sampled_from(["0", "1", "0.5", " 0.25 ", "1e-3", "0.1234567890123"]))
+    score = draw(st.one_of(
+        st.sampled_from(["0", "1", "0.5", " 0.25 ", "1e-3", "0.1234567890123"]), SCORE_TEXT
+    ))
     good = [f"{draw(PAD)}{u},p{draw(PAD)},{score}", draw(PAD)]
     broken = [f"{u},p", f"{u},p,0.5,x", " ,p,0.5", f"{u},p,high", f"{u},p,1.5",
               f"{u},p,-0.0001", f"{u},p,nan", f"{u},p,"]
@@ -351,7 +377,8 @@ def text_file(draw, line):
 # multibyte characters and '#' inside; the "x" runs share prefixes across
 # the 8-byte words of a packed key
 BARE_ID = st.one_of(
-    st.sampled_from(["a", "b", "u1", "a#", "#h", "ü", "名前"]),
+    st.sampled_from(["a", "b", "u1", "a#", "#h", "ü", "名前", "abcdefgh", "ü" * 8, "y" * 64,
+                     "y" * 63 + "é"]),
     st.builds(lambda n, c: "x" * n + c, st.integers(0, 99), st.sampled_from("abé#")),
     st.text(
         st.characters(min_codepoint=0x21).filter(lambda c: c.isprintable() and c != ","),
@@ -373,7 +400,9 @@ def bare_file(draw, kind: str):
         if kind == "edges":
             lines.append(f"{u},{v}" if u != v or bad else f"{u},{v}z")
         elif kind == "scores":
-            score = draw(st.sampled_from(BARE_SCORES + (["high", "1.5", "nan"] if bad else [])))
+            score = draw(st.one_of(
+                st.sampled_from(BARE_SCORES + (["high", "1.5", "nan"] if bad else [])), SCORE_TEXT
+            ))
             lines.append(f"{u},{v},{score}")
         else:
             label = "01"[pool.index(u) % 2]
@@ -407,7 +436,8 @@ def check_edges(text):
         assert list(got) == want
         ids, src, dst = naive_build_graph(want)
         assert got.ids == ids
-        assert got.index == {u: i for i, u in enumerate(ids)}
+        assert len(got.id_keys) == len(ids)
+        assert got.id_keys.codes_of(ids).tolist() == list(range(len(ids)))
         assert np.array_equal(got.src, src)
         assert np.array_equal(got.dst, dst)
         assert len(got) == len(want)
@@ -422,8 +452,9 @@ def check_scores(text):
             assert got == want
             continue
         assert got.users() == list(want)
-        flat = [s for scores in want.values() for s in scores]
-        assert got.values.tolist() == flat
+        flat = np.array([s for scores in want.values() for s in scores], dtype=np.float64)
+        # bit for bit: 0.0 and -0.0 differ
+        assert np.array_equal(got.values.view(np.uint64), flat.view(np.uint64))
         assert np.diff(got.offsets).tolist() == [len(v) for v in want.values()]
         assert got.total_posts == len(flat)
 
@@ -566,23 +597,42 @@ class TestBarePath:
         assert parse_scores("u,p,١\n").values.tolist() == [1.0]
 
     def test_long_ids_intern_every_token(self):
-        # past the packed-word limit, and short ids beside one that would take
-        # every key to eight words: neither may build packed keys
+        # ids past eight 8-byte words, and short ids beside one long id: keys
+        # are made per byte length, so a block's keys stay within 8 bytes per
+        # byte of its text (the id's bytes, or one word for a short id)
         long_ids = [f"{'y' * 64}{c}" for c in "abc"] + ["y" * 64, "x"]
         text = "".join(f"{long_ids[i % 5]},{long_ids[(i + 1) % 5]}\n" for i in range(50))
         short = "".join(f"{'ab'[i % 2]},{'cde'[i % 3]}\n" for i in range(100)) + f"{'y' * 64},a\n"
+        made = []  # [key bytes, text bytes] of each block
+        intern, keys = graph_module.KeyTable.intern, graph_module._keys
+
+        def spy_intern(table, data, starts, ends):
+            made.append([0, len(data)])
+            return intern(table, data, starts, ends)
+
+        def spy_keys(data, starts, length):
+            key = keys(data, starts, length)
+            assert key.itemsize == max(length, 8)
+            made[-1][0] += key.nbytes
+            return key
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ingest, "_first_seen", None)
+            mp.setattr(graph_module.KeyTable, "intern", spy_intern)
+            mp.setattr(graph_module, "_keys", spy_keys)
             check_edges(text)
             check_scores(text.replace("\n", ",0.5\n"))
             check_edges(short)
-        check_edges(text)
+        assert made and all(used <= 8 * size for used, size in made)
+
+
+# Python pairs may hold ids no file line can: newlines and commas
+PAIR_IDS = IDS + ["a\nb", "\n", "a,b", ","]
 
 
 class TestBuildGraphMatchesOracle:
     @given(
-        pairs=st.lists(st.tuples(st.sampled_from(IDS), st.sampled_from(IDS)), max_size=40),
-        isolated=st.lists(st.sampled_from(IDS + ["iso", ""]), max_size=4),
+        pairs=st.lists(st.tuples(*[st.sampled_from(PAIR_IDS)] * 2), max_size=40),
+        isolated=st.lists(st.sampled_from(PAIR_IDS + ["iso", "", 5]), max_size=4),
     )
     def test_ids_codes_and_csr(self, pairs, isolated):
         try:
@@ -610,6 +660,8 @@ class TestBuildGraphMatchesOracle:
             ([("a", "b"), 7], "edge 2: expected a (src, dst) pair, got 7"),
             ([("a", "b"), ("", "b")], "edge 2: empty user id in ('', 'b')"),
             ([("a", "b"), ("c", "c")], "edge 2: self-loop on 'c'"),
+            ([(1, 2)], "edge 1: expected string user ids, got (1, 2)"),
+            ([("a", "b"), (0, 1)], "edge 2: expected string user ids, got (0, 1)"),
         ],
     )
     def test_pair_errors_name_the_position(self, pairs, message):
