@@ -1,9 +1,14 @@
 """Directed follow-graph with dense integer node indices.
 
-The graph is immutable once built: construction interns external string ids
-into dense indices and stores one CSR adjacency (followees); the other views
+The graph is immutable once built: it holds its external string ids in one
+key table (``KeyTable``), which numbers them with dense node indices and
+maps them back, and stores one CSR adjacency (followees); the other views
 are built from it on first use. All queries are read-only, so concurrent
 access needs no locks.
+
+A ``KeyTable`` is the one holder of a user universe: edge lists, graphs and
+score tables each keep theirs and nothing beside it, and binding joins them
+through their tables' sorted keys.
 
 Conventions
 -----------
@@ -74,9 +79,14 @@ _KEY_MASKS = np.array([(1 << 8 * r) - 1 for r in range(9)], dtype=np.uint64)
 def _utf8(ids: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(UTF-8 bytes of the ids, start of each id, end of each id).
 
-    Lone surrogates pass through, so every ``str`` has a key.
+    Lone surrogates pass through, so every ``str`` has a key; an id that is
+    not a ``str`` is an InputError.
     """
-    text = "\n".join(ids)
+    try:
+        text = "\n".join(ids)
+    except TypeError:
+        bad = next(u for u in ids if not isinstance(u, str))
+        raise InputError(f"user id must be a string, got {bad!r}") from None
     if text.count("\n") == len(ids) - 1:  # no id holds a newline: encode once
         data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
         ends = np.append(np.flatnonzero(data == 0x0A), len(data))
@@ -85,6 +95,22 @@ def _utf8(ids: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ends = np.cumsum(np.fromiter(map(len, encoded), dtype=np.int64, count=len(ids)))
     starts = np.append(0, ends[:-1]) if len(ids) else ends
     return np.frombuffer(b"".join(encoded), dtype=np.uint8), starts, ends
+
+
+def _strings(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str]:
+    """``data[starts[i]:ends[i]]`` of each i, decoded; no id holds a newline.
+
+    ``data`` holds a byte at every end. Each id is gathered with the byte
+    after it, which becomes a newline, and one C-level split builds all the
+    strings.
+    """
+    if len(starts) == 0:
+        return []
+    sizes = ends + 1 - starts
+    bounds = np.cumsum(sizes)
+    kept = data[np.arange(bounds[-1]) + np.repeat(starts - (bounds - sizes), sizes)]
+    kept[bounds - 1] = 0x0A
+    return kept[:-1].tobytes().decode().split("\n")
 
 
 def _by_length(lengths: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -129,40 +155,56 @@ def _keys(data: np.ndarray, starts: np.ndarray, length: int) -> np.ndarray:
 
 
 class KeyTable:
-    """Sorted keys of a list of distinct ids, with the code of each.
+    """A universe of distinct ids: ``ids`` in code order, with their sorted keys.
 
     An id's key is its UTF-8 bytes (see ``_keys``). Ids are grouped by byte
     length, which the group carries, so ``"a"`` and ``"a\\x00"`` stay apart.
-    Each group holds its keys sorted, so a lookup is a ``searchsorted``.
+    Each group holds its keys sorted, so a bulk lookup is a ``searchsorted``.
     The sort order is that of the keys, not of the ids as Python strings.
+    :meth:`code` looks up one id at a time through a dict, made on first use.
     """
 
     def __init__(self) -> None:
+        self.ids: list[str] = []
         self._groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # length -> keys, codes
-        self.size = 0
+        self._index: dict[str, int] = {}  # the first ids of ``ids``, for code()
 
     def __len__(self) -> int:
-        return self.size
+        return len(self.ids)
 
     @classmethod
     def of(cls, ids: list[str]) -> "KeyTable":
-        """The table of distinct ids, ``ids[i]`` holding code ``i``."""
+        """The table of distinct ids, ``ids[i]`` holding code ``i``; InputError on a repeat."""
         table = cls()
-        table.intern_strings(ids)
+        codes = table.intern_strings(ids)
+        if len(table) != len(ids):
+            # codes never exceed positions, and the first repeat is the first below
+            raise InputError(f"repeated id {ids[int(np.argmax(codes < np.arange(len(ids))))]!r}")
         return table
 
-    def intern_strings(self, ids: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    def intern_strings(self, ids: list[str]) -> np.ndarray:
         """:meth:`intern` of Python strings."""
-        return self.intern(*_utf8(ids))
+        codes, new = self._add(*_utf8(ids))
+        self.ids.extend(map(ids.__getitem__, new.tolist()))
+        return codes
 
-    def intern(
+    def intern(self, data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+        """Code of each id of ``data`` in UTF-8; no id holds a newline.
+
+        Id ``i`` is ``data[starts[i]:ends[i]]``, and ``data`` holds a byte
+        at every end. Ids not in the table join it with the next codes, in
+        the order of their first positions; only they are decoded.
+        """
+        codes, new = self._add(data, starts, ends)
+        self.ids.extend(_strings(data, starts[new], ends[new]))
+        return codes
+
+    def _add(
         self, data: np.ndarray, starts: np.ndarray, ends: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(code of each id, position of each new id in code order) of ids in UTF-8.
+        """(code of each id, position of each new id in code order); ``ids`` is left to the caller.
 
-        Id ``i`` is ``data[starts[i]:ends[i]]``. Ids not in the table join it
-        with the next codes, in the order of their first positions. One sort
-        per length finds the distinct ids, and only those are looked up.
+        One sort per length finds the distinct ids, and only those are looked up.
         """
         pad = np.zeros(len(data) + 8, dtype=np.uint8)
         pad[: len(data)] = data
@@ -177,7 +219,7 @@ class KeyTable:
         # number the new ids by first position: a scan over the positions, no sort
         taken = np.zeros(len(starts), dtype=bool)
         taken[new_first] = True
-        rank = (np.cumsum(taken) + (self.size - 1))[new_first]
+        rank = (np.cumsum(taken) + (len(self) - 1))[new_first]
         codes = np.empty(len(starts), dtype=np.int64)
         done = 0
         for length, where, run, distinct, code, at, new in groups:
@@ -185,8 +227,14 @@ class KeyTable:
             done += len(new)
             codes[where] = code[run]
             self._insert(length, at[new], distinct[new], code[new])
-        self.size += len(new_first)
         return codes, np.flatnonzero(taken)
+
+    def code(self, uid: str) -> int:
+        """Code of one id; -1 if absent."""
+        index = self._index
+        if len(index) < len(self.ids):  # index the ids added since the last call
+            index.update(zip(self.ids[len(index) :], range(len(index), len(self.ids))))
+        return index.get(uid, -1)
 
     def _lookup(self, length: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(code of each key, -1 if absent; its insertion point) among ``length``-byte ids."""
@@ -208,7 +256,7 @@ class KeyTable:
 
     def find(self, other: "KeyTable") -> np.ndarray:
         """Code of each id of ``other`` (by its code there) in this table; -1 if absent."""
-        out = np.full(other.size, -1, dtype=np.int64)
+        out = np.full(len(other), -1, dtype=np.int64)
         for length, (keys, codes) in other._groups.items():
             out[codes] = self._lookup(length, keys)[0]
         return out
@@ -216,15 +264,15 @@ class KeyTable:
     def codes_of(self, ids: list[str]) -> np.ndarray:
         """Code of each of the ids; -1 if absent."""
         query = KeyTable()
-        codes, _ = query.intern_strings(ids)
+        codes = query.intern_strings(ids)
         return self.find(query)[codes]
 
     def take(self, codes: np.ndarray) -> "KeyTable":
         """The table of the ids with the given codes, numbered in that order."""
-        renumber = np.full(self.size, -1, dtype=np.int64)
+        renumber = np.full(len(self), -1, dtype=np.int64)
         renumber[codes] = np.arange(len(codes))
         out = KeyTable()
-        out.size = len(codes)
+        out.ids = list(map(self.ids.__getitem__, codes.tolist()))
         for length, (keys, old) in self._groups.items():
             new = renumber[old]
             kept = new >= 0
@@ -235,10 +283,10 @@ class KeyTable:
     def extend(self, other: "KeyTable") -> "KeyTable":
         """This table followed by ``other``, whose ids it must not hold; neither changes."""
         out = KeyTable()
+        out.ids = self.ids + other.ids
         out._groups = dict(self._groups)
-        out.size = self.size + other.size
         for length, (keys, codes) in other._groups.items():
-            out._insert(length, out._lookup(length, keys)[1], keys, codes + self.size)
+            out._insert(length, out._lookup(length, keys)[1], keys, codes + len(self))
         return out
 
 
@@ -250,15 +298,18 @@ def _pairs(ids: list, src: np.ndarray, dst: np.ndarray) -> Iterator[tuple[str, s
 class EdgeList:
     """Directed edges as interned codes, one entry per input edge, in input order.
 
-    Edge ``k`` runs from ``ids[src[k]]`` to ``ids[dst[k]]``; ids are numbered
-    in first-seen order, and ``id_keys`` is their key table (the graph built
-    from the list adopts it). Duplicates are kept; the graph collapses them.
+    Edge ``k`` runs from ``ids[src[k]]`` to ``ids[dst[k]]``. ``id_keys``
+    numbers the ids in first-seen order; the graph built from the list adopts
+    it. Duplicates are kept; the graph collapses them.
     """
 
-    ids: list
     id_keys: KeyTable
     src: np.ndarray
     dst: np.ndarray
+
+    @property
+    def ids(self) -> list[str]:
+        return self.id_keys.ids
 
     def __len__(self) -> int:
         return len(self.src)
@@ -283,12 +334,11 @@ class EdgeList:
         if not all(map(isinstance, tokens, itertools.repeat(str))):
             _raise_bad_pair(pairs)
         keys = KeyTable()
-        codes, first = keys.intern_strings(tokens)
-        ids = list(map(tokens.__getitem__, first.tolist()))
+        codes = keys.intern_strings(tokens)
         src, dst = codes[0::2], codes[1::2]
-        if not all(ids) or np.any(src == dst):
+        if not all(keys.ids) or np.any(src == dst):
             _raise_bad_pair(pairs)
-        return cls(ids, keys, src, dst)
+        return cls(keys, src, dst)
 
 
 def _raise_bad_pair(pairs: list) -> None:
@@ -371,43 +421,35 @@ def _step_layout(indptr: np.ndarray, indices: np.ndarray) -> StepLayout:
 class SocialGraph:
     """Immutable directed graph over interned string user ids.
 
-    Only the out view (``out_indptr``, ``out_indices``) is stored; :meth:`csr`
-    builds the in and undirected views.
+    ``SocialGraph(ids, src, dst)`` has the edges ``src[k] -> dst[k]`` between
+    node indices, where ``ids`` is a :class:`KeyTable`, which is adopted, not
+    copied, or a list of distinct ids. Only the out view (``out_indptr``,
+    ``out_indices``) is stored; :meth:`csr` builds the in and undirected views.
 
     Attributes
     ----------
-    ids : list[str]
-        Node index -> external user id (the id_map, forward direction).
     id_keys : KeyTable
-        The ids' key table, which maps ids to node indices in bulk. A caller
-        that already holds it for ``ids`` passes it; it is adopted, not
-        copied. Otherwise it is built on first use.
-    id_index : dict[str, int]
-        External user id -> node index, one id at a time; built on first use.
+        The user universe: node index -> external user id (``id_keys.ids``,
+        also ``ids``), and back through ``codes_of`` in bulk or ``code`` for
+        one id.
     """
 
-    def __init__(
-        self, ids: list[str], src: np.ndarray, dst: np.ndarray, id_keys: KeyTable | None = None
-    ):
-        self.ids = ids
-        self._id_keys = id_keys
-        self._id_index: dict[str, int] | None = None
-        self.out_indptr, self.out_indices = _csr(src, dst, len(ids))
+    def __init__(self, ids: KeyTable | list[str], src: np.ndarray, dst: np.ndarray):
+        self.id_keys = ids if isinstance(ids, KeyTable) else KeyTable.of(ids)
+        n = len(self.id_keys)
+        src, dst = np.asarray(src), np.asarray(dst)
+        if len(src) != len(dst) or len(src) and not (
+            0 <= min(src.min(), dst.min()) and max(src.max(), dst.max()) < n
+        ):
+            raise InputError(f"edge index arrays must be of equal length, each index in [0, {n})")
+        self.out_indptr, self.out_indices = _csr(src, dst, n)
         self._views: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._components: tuple[int, np.ndarray] | None = None
         self._step_of: dict[str, StepLayout] = {}
 
     @property
-    def id_keys(self) -> KeyTable:
-        if self._id_keys is None:
-            self._id_keys = KeyTable.of(self.ids)
-        return self._id_keys
-
-    @property
-    def id_index(self) -> dict[str, int]:
-        if self._id_index is None:
-            self._id_index = dict(zip(self.ids, range(len(self.ids))))
-        return self._id_index
+    def ids(self) -> list[str]:
+        return self.id_keys.ids
 
     # -- basic shape -------------------------------------------------------
 
@@ -518,23 +560,20 @@ class GraphStats:
         return asdict(self)
 
 
-def extend_ids(
-    ids: list, keys: KeyTable, extra: list[str], extra_keys: KeyTable
-) -> tuple[list, KeyTable, np.ndarray]:
-    """``(ids, keys, at)`` with the distinct ``extra`` ids that ``keys`` lacks appended, sorted.
+def extend_ids(keys: KeyTable, extra: KeyTable) -> tuple[KeyTable, np.ndarray]:
+    """``(keys, at)`` with the ``extra`` ids that ``keys`` lacks appended, sorted.
 
-    ``extra_keys`` is the key table of ``extra``, and ``at[i]`` is the index
-    of ``extra[i]`` in the returned ids. Sorting keeps node indexing
-    independent of input order. The inputs are returned as they are when
-    nothing is new, and never changed.
+    ``at[i]`` is the code of ``extra.ids[i]`` in the returned table. Sorting
+    keeps node indexing independent of input order. The input table is
+    returned as it is when nothing is new, and never changed.
     """
-    at = keys.find(extra_keys)
+    at = keys.find(extra)
     missing = np.flatnonzero(at < 0)
     if not len(missing):
-        return ids, keys, at
-    order = sorted(missing.tolist(), key=extra.__getitem__)
-    at[order] = np.arange(len(ids), len(ids) + len(order))
-    return ids + list(map(extra.__getitem__, order)), keys.extend(extra_keys.take(order)), at
+        return keys, at
+    order = np.array(sorted(missing.tolist(), key=extra.ids.__getitem__), dtype=np.int64)
+    at[order] = np.arange(len(keys), len(keys) + len(order))
+    return keys.extend(extra.take(order)), at
 
 
 def build_graph(
@@ -558,8 +597,8 @@ def build_graph(
     if "" in isolated:
         raise InputError("isolated id must be nonempty")
     isolated = sorted(set(isolated))
-    ids, keys, _ = extend_ids(edges.ids, edges.id_keys, isolated, KeyTable.of(isolated))
-    return SocialGraph(ids, edges.src, edges.dst, keys)
+    keys, _ = extend_ids(edges.id_keys, KeyTable.of(isolated))
+    return SocialGraph(keys, edges.src, edges.dst)
 
 
 def _component_roots(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -607,10 +646,7 @@ def largest_wcc(g: SocialGraph) -> SocialGraph:
 
     src, dst = g.edge_arrays()
     mask = member[src]  # weak components are edge-closed
-    kept = np.flatnonzero(member)
-    new_ids = list(map(g.ids.__getitem__, kept.tolist()))
-    keys = None if g._id_keys is None else g._id_keys.take(kept)  # built only if g has one
-    return SocialGraph(new_ids, remap[src[mask]], remap[dst[mask]], keys)
+    return SocialGraph(g.id_keys.take(np.flatnonzero(member)), remap[src[mask]], remap[dst[mask]])
 
 
 def component_stats(g: SocialGraph) -> ComponentCounts:

@@ -19,17 +19,17 @@ bare block, which no ``strip`` would change, is tokenized on its UTF-8 bytes
 with numpy: the separators are found in one pass, and its score column is
 cast from bytes (``_BareBlock``). Other blocks go through the per-line
 ``strip`` path (``_checked_lines``). Either way the ids of a file go through
-one ``KeyTable``: each block's distinct ids are found by sorting their
-packed keys and are looked up in the table, so a Python string is made only
-for an id the file has not shown before. Both paths feed the same bulk checks,
-and a block that fails one is re-read line by line (``_rescan_*``) to raise
-the first bad line's error, so messages and line numbers are those of a
+one ``KeyTable``, which a parsed edge list or score table keeps as its user
+universe: each block's distinct ids are found by sorting their packed keys
+and are looked up in the table, which appends a Python string only for an
+id the file has not shown before. Both paths feed the same bulk checks, and
+a block that fails one is re-read line by line (``_rescan_*``) to raise the
+first bad line's error, so messages and line numbers are those of a
 line-by-line parse.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 import itertools
 from dataclasses import dataclass, field
@@ -38,7 +38,7 @@ from typing import IO, Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import InputError
-from .graph import EdgeList, KeyTable, SocialGraph, extend_ids, largest_wcc
+from .graph import EdgeList, KeyTable, SocialGraph, _strings, extend_ids, largest_wcc
 from .serialize import write_rows
 
 __all__ = [
@@ -131,21 +131,6 @@ class _BareBlock:
             return None
         return cls(data, starts, ends)
 
-    def _strings(self, starts: np.ndarray, ends: np.ndarray) -> list[str]:
-        # gather each field and the separator after it, make every separator
-        # a newline and split once: one C-level split builds all the strings
-        if len(starts) == 0:
-            return []
-        sizes = ends + 1 - starts
-        offsets = np.cumsum(sizes) - sizes
-        kept = self.data[np.arange(offsets[-1] + sizes[-1]) + np.repeat(starts - offsets, sizes)]
-        kept[kept == 0x2C] = 0x0A
-        return kept[:-1].tobytes().decode().split("\n")
-
-    def strings(self, column: int) -> list[str]:
-        """Field ``column`` of every line."""
-        return self._strings(self.starts[:, column], self.ends[:, column])
-
     def floats(self, column: int) -> np.ndarray:
         """Field ``column`` of every line as floats, as ``float()`` reads it.
 
@@ -168,18 +153,16 @@ class _BareBlock:
                 return fields.astype(np.float64)
             except ValueError:
                 pass
-        return _floats(self.strings(column))
+        return _floats(_strings(self.data, starts, ends))
 
-    def ids(self, keys: KeyTable, ids: list, column: int | None = None) -> np.ndarray:
+    def ids(self, keys: KeyTable, column: int | None = None) -> np.ndarray:
         """Codes of field ``column`` (None: every field) in line order, interned in ``keys``.
 
-        New ids are appended to ``ids``; only they become Python strings.
+        Only the new ids become Python strings.
         """
         starts = (self.starts if column is None else self.starts[:, column]).ravel()
         ends = (self.ends if column is None else self.ends[:, column]).ravel()
-        codes, new = keys.intern(self.data, starts, ends)
-        ids.extend(self._strings(starts[new], ends[new]))
-        return codes
+        return keys.intern(self.data, starts, ends)
 
 
 class _SplitBlock:
@@ -196,12 +179,10 @@ class _SplitBlock:
         """Field ``column`` of every line through ``float()``; ValueError if one is not a number."""
         return _floats(self.strings(column))
 
-    def ids(self, keys: KeyTable, ids: list, column: int | None = None) -> np.ndarray:
+    def ids(self, keys: KeyTable, column: int | None = None) -> np.ndarray:
         """Codes of field ``column`` (None: every field), stripped, interned in ``keys``."""
-        tokens = list(map(str.strip, self.tokens if column is None else self.strings(column)))
-        codes, new = keys.intern_strings(tokens)
-        ids.extend(map(tokens.__getitem__, new.tolist()))
-        return codes
+        tokens = self.tokens if column is None else self.strings(column)
+        return keys.intern_strings(list(map(str.strip, tokens)))
 
 
 def _floats(texts: list[str]) -> np.ndarray:
@@ -239,22 +220,21 @@ def read_edges(stream: IO[str] | str) -> EdgeList:
     comma-separated fields, empty ids and self-loops are rejected with the
     line number.
     """
-    ids: list[str] = []
     keys = KeyTable()
     srcs, dsts = [], []
     for first, text in _text_blocks(stream):
         block = _fields(text, 2, comments=True)
         if block is None:
             _rescan_edges(first, text)
-        base = len(ids)
-        codes = block.ids(keys, ids)
+        base = len(keys)
+        codes = block.ids(keys)
         src, dst = codes[0::2], codes[1::2]
-        if "" in ids[base:] or np.any(src == dst):
+        if "" in keys.ids[base:] or np.any(src == dst):
             _rescan_edges(first, text)
         srcs.append(src)
         dsts.append(dst)
     empty = np.zeros(0, dtype=np.int64)
-    return EdgeList(ids, keys, np.concatenate([empty, *srcs]), np.concatenate([empty, *dsts]))
+    return EdgeList(keys, np.concatenate([empty, *srcs]), np.concatenate([empty, *dsts]))
 
 
 def _rescan_edges(first: int, text: str) -> None:
@@ -278,26 +258,19 @@ class ScoreTable:
 
     User ``users()[j]`` owns ``values[offsets[j]:offsets[j + 1]]``. Users
     appear in first-seen order, scores keep file order within a user, and a
-    user may own zero posts. ``id_keys`` is the users' key table, which maps
-    users to rows in bulk. The ``users`` list is adopted, not copied, and so
-    is ``id_keys`` when a caller that already holds it passes it.
+    user may own zero posts. ``users`` is a :class:`KeyTable`, which is
+    adopted, not copied, or a list of distinct users; ``id_keys`` holds it
+    and maps users to rows.
     """
 
     def __init__(
-        self,
-        users: list[str],
-        offsets: np.ndarray,
-        values: np.ndarray,
-        id_keys: KeyTable | None = None,
+        self, users: KeyTable | list[str], offsets: np.ndarray, values: np.ndarray
     ) -> None:
-        self._users = users
-        self.id_keys = KeyTable.of(users) if id_keys is None else id_keys
-        if len(self.id_keys) != len(self._users):
-            raise InputError("score table users must be distinct")
+        self.id_keys = users if isinstance(users, KeyTable) else KeyTable.of(users)
         self.offsets = np.asarray(offsets, dtype=np.int64)
         self.values = np.asarray(values, dtype=np.float64)
         if (
-            len(self.offsets) != len(self._users) + 1
+            len(self.offsets) != len(self) + 1
             or self.offsets[0] != 0
             or self.offsets[-1] != len(self.values)
             or np.any(np.diff(self.offsets) < 0)
@@ -317,16 +290,11 @@ class ScoreTable:
         return len(self.values)
 
     def users(self) -> list[str]:
-        return list(self._users)
-
-    @functools.cached_property
-    def _index(self) -> dict[str, int]:
-        # for lookups one user at a time; built on first use
-        return dict(zip(self._users, range(len(self._users))))
+        return list(self.id_keys.ids)
 
     def _segment(self, user: str) -> np.ndarray:
-        j = self._index.get(user)
-        if j is None:
+        j = self.id_keys.code(user)
+        if j < 0:
             raise InputError(f"unknown user {user!r} in score table")
         return self.values[self.offsets[j] : self.offsets[j + 1]]
 
@@ -337,20 +305,16 @@ class ScoreTable:
         return len(self._segment(user))
 
     def __len__(self) -> int:
-        return len(self._users)
+        return len(self.id_keys)
 
     def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        for j, user in enumerate(self._users):
+        for j, user in enumerate(self.id_keys.ids):
             yield user, self.values[self.offsets[j] : self.offsets[j + 1]].copy()
-
-    def rows_of(self, users: Iterable[str]) -> np.ndarray:
-        """Row of each user in ``users``, -1 for users not in the table."""
-        return self.id_keys.codes_of(list(users))
 
     def segments(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(offsets, values) of the given rows, concatenated in the given order.
 
-        Row -1 (a user ``rows_of`` did not find) owns zero posts.
+        Row -1 (a user ``id_keys.codes_of`` did not find) owns zero posts.
         """
         starts = self.offsets[rows]
         lengths = np.where(rows >= 0, self.offsets[rows + 1] - starts, 0)
@@ -362,7 +326,6 @@ class ScoreTable:
 
 def parse_scores(stream: IO[str] | str) -> ScoreTable:
     """Parse a score file; rejects non-numeric or out-of-range scores."""
-    users: list[str] = []
     keys = KeyTable()
     codes, values = [], []
     for first, text in _text_blocks(stream):
@@ -373,18 +336,18 @@ def parse_scores(stream: IO[str] | str) -> ScoreTable:
             value = block.floats(2)
         except ValueError:
             _rescan_scores(first, text)
-        base = len(users)
-        code = block.ids(keys, users, 0)
-        if "" in users[base:] or not np.all((value >= 0.0) & (value <= 1.0)):
+        base = len(keys)
+        code = block.ids(keys, 0)
+        if "" in keys.ids[base:] or not np.all((value >= 0.0) & (value <= 1.0)):
             _rescan_scores(first, text)
         codes.append(code)
         values.append(value)
     code = np.concatenate([np.zeros(0, dtype=np.int64), *codes])
     # group rows by user; the stable sort keeps file order within each user
     order = np.argsort(code, kind="stable")
-    offsets = np.zeros(len(users) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(code, minlength=len(users)), out=offsets[1:])
-    return ScoreTable(users, offsets, np.concatenate([np.zeros(0), *values])[order], keys)
+    offsets = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(code, minlength=len(keys)), out=offsets[1:])
+    return ScoreTable(keys, offsets, np.concatenate([np.zeros(0), *values])[order])
 
 
 def _rescan_scores(first: int, text: str) -> None:
@@ -413,22 +376,21 @@ def parse_labels(stream: IO[str] | str) -> dict[str, int]:
 
     Consistent duplicates are tolerated.
     """
-    users: list[str] = []
     keys = KeyTable()
+    users = keys.ids  # the table's own list: interning appends to it
     known = np.zeros(0, dtype=np.int64)  # each user's first label, by code
     # label texts are interned like ids, so int() reads each distinct text once
-    texts: list[str] = []
-    text_keys = KeyTable()
+    texts = KeyTable()
     text_label = np.zeros(0, dtype=np.int64)
     for first, text in _text_blocks(stream):
         base = len(users)
         block = _fields(text, 2, comments=False)
         if block is None:
             _rescan_labels(first, text, users[:base], known)
-        code = block.ids(keys, users, 0)
-        text_code = block.ids(text_keys, texts, 1)
+        code = block.ids(keys, 0)
+        text_code = block.ids(texts, 1)
         try:
-            values = list(map(int, texts[len(text_label) :]))
+            values = list(map(int, texts.ids[len(text_label) :]))
         except ValueError:
             _rescan_labels(first, text, users[:base], known)
         if "" in users[base:] or not set(values) <= {0, 1}:
@@ -510,8 +472,8 @@ class Dataset:
     discard_summary: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        users = self.scores._users
-        if users is not self.graph.ids and users != self.graph.ids:
+        keys = self.scores.id_keys
+        if keys is not self.graph.id_keys and keys.ids != self.graph.ids:
             raise InputError("dataset scores must hold one row per graph node, in node order")
         labels = np.asarray(self.labels)
         if labels.shape != (self.graph.node_count,):
@@ -560,8 +522,8 @@ def bind_dataset(
         summary["dropped_by_wcc"] = graph.node_count - g.node_count
         rows = scores.id_keys.find(g.id_keys)  # the score row of each node, -1 if none
     else:
-        ids, keys, at = extend_ids(graph.ids, graph.id_keys, scores._users, scores.id_keys)
-        g = graph if ids is graph.ids else SocialGraph(ids, *graph.edge_arrays(), keys)
+        keys, at = extend_ids(graph.id_keys, scores.id_keys)
+        g = graph if keys is graph.id_keys else SocialGraph(keys, *graph.edge_arrays())
         rows = np.full(g.node_count, -1, dtype=np.int64)
         rows[at] = np.arange(len(scores))
     scored = int(np.count_nonzero(rows >= 0))
@@ -574,7 +536,7 @@ def bind_dataset(
     off = np.flatnonzero(~bound)
     missing = [users[i] for i in off.tolist()]
     unknown = np.zeros(len(users), dtype=bool)
-    unknown[off] = (graph.id_keys.codes_of(missing) < 0) & (scores.rows_of(missing) < 0)
+    unknown[off] = (graph.id_keys.codes_of(missing) < 0) & (scores.id_keys.codes_of(missing) < 0)
     unscored = np.zeros(len(users), dtype=bool)
     unscored[bound] = rows[node[bound]] < 0
     bad = unknown if policy.allow_zero_post_users else unknown | unscored
@@ -597,7 +559,7 @@ def bind_dataset(
     summary["labeled_users"] = len(users) - len(off)
     return Dataset(
         graph=g,
-        scores=ScoreTable(g.ids, *scores.segments(rows), g.id_keys),
+        scores=ScoreTable(g.id_keys, *scores.segments(rows)),
         labels=column,
         discard_summary=summary,
     )

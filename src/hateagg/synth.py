@@ -185,7 +185,7 @@ def generate(config: SynthConfig) -> Dataset:
     # one row per node; unscored nodes own zero posts
     offsets = np.zeros(n + 1, dtype=np.int64)
     offsets[scored_idx + 1] = counts
-    table = ScoreTable(ids, np.cumsum(offsets), values, graph.id_keys)
+    table = ScoreTable(graph.id_keys, np.cumsum(offsets), values)
 
     labels = np.full(n, -1, dtype=np.int8)
     labels[labeled_idx] = truth[labeled_idx]

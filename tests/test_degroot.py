@@ -49,7 +49,7 @@ class TestInit:
     def test_zero_post_user_starts_at_zero(self):
         ds = make_dataset([("a", "b")], scores={"a": [0.9]})
         b = degroot_init(ds, config=DiffusionConfig(init="fraction"))
-        assert b[ds.graph.id_index["b"]] == 0.0
+        assert b[ds.graph.ids.index("b")] == 0.0
 
     def test_binary_init_uses_fixed_rule(self):
         ds = make_dataset(
@@ -131,9 +131,9 @@ class TestStep:
     def test_isolated_node_keeps_belief(self):
         g = build_graph([("a", "b")], isolated_ids=("z",))
         vals = np.zeros(3)
-        vals[g.id_index["z"]] = 0.7
+        vals[g.ids.index("z")] = 0.7
         nxt = degroot_step(g, beliefs(vals))
-        assert nxt[g.id_index["z"]] == 0.7
+        assert nxt[g.ids.index("z")] == 0.7
 
     def test_matches_dense_reference(self):
         rng = np.random.default_rng(79)
@@ -151,7 +151,7 @@ class TestStep:
     def test_direction_uses_requested_neighborhood(self):
         # a -> b: under "out" a averages with b while b only sees itself
         g = build_graph([("a", "b")])
-        a, b = g.id_index["a"], g.id_index["b"]
+        a, b = g.ids.index("a"), g.ids.index("b")
         vals = np.zeros(2)
         vals[a] = 1.0
         out_step = degroot_step(g, beliefs(vals), "out")
@@ -302,7 +302,7 @@ class TestRun:
         edges = [("hub", f"l{i}") for i in range(10)]
         g = build_graph(edges)
         init = np.zeros(11)
-        init[g.id_index["hub"]] = 1.0
+        init[g.ids.index("hub")] = 1.0
         config = DiffusionConfig(direction="undirected", max_iters=10_000, tol=1e-13)
         final, _ = degroot_run(g, beliefs(init), config)
         assert np.max(np.abs(final - 11.0 / 31.0)) < 1e-9

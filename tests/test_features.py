@@ -89,7 +89,7 @@ class TestRelationalFeatures:
     def test_direct_means(self):
         ds = self.make()
         fm = build_features(ds, "relational", AggregationConfig(tau_fixed=3))
-        assert list(fm.values[ds.graph.id_index["u"]]) == [1.0, 0.5, 0.0]
+        assert list(fm.values[ds.graph.ids.index("u")]) == [1.0, 0.5, 0.0]
 
     def test_isolated_user_all_zero(self):
         assert list(user_row([0.1], "relational")) == [0.0, 0.0, 0.0]

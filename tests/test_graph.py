@@ -90,7 +90,7 @@ class TestBuildGraph:
         g = build_graph([("a", "b"), ("b", "c")])
         assert g.node_count == 3
         assert g.edge_count == 2
-        a = g.id_index["a"]
+        a = g.ids.index("a")
         followees = g.out_indices[g.out_indptr[a] : g.out_indptr[a + 1]]
         assert [g.ids[int(j)] for j in followees] == ["b"]
 
@@ -119,8 +119,8 @@ class TestBuildGraph:
                 isolated_ids=tuple(f"n{i}" for i in range(n)),
             )
             for uid in fwd.ids:
-                i_f = fwd.id_index[uid]
-                i_r = rev.id_index[uid]
+                i_f = fwd.ids.index(uid)
+                i_r = rev.ids.index(uid)
                 followees = fwd.out_indices[fwd.out_indptr[i_f] : fwd.out_indptr[i_f + 1]]
                 in_ptr, in_idx = rev.csr("in")
                 followers = in_idx[in_ptr[i_r] : in_ptr[i_r + 1]]
@@ -133,7 +133,7 @@ class TestBuildGraph:
         assert edges.id_keys.codes_of(["a", "b", "c", "y"]).tolist() == [0, 1, 2, -1]
         assert build_graph(edges).id_keys is edges.id_keys
         g = build_graph(edges, isolated_ids=("z", "a", "y"))
-        assert g.id_index == {"a": 0, "b": 1, "c": 2, "y": 3, "z": 4}
+        assert g.ids == ["a", "b", "c", "y", "z"]
         assert g.id_keys.codes_of(["z", "y", "c", "x"]).tolist() == [4, 3, 2, -1]
         # extending for isolated ids copies: the edge list stays as read
         assert len(edges.id_keys) == 3
@@ -162,6 +162,44 @@ class TestBuildGraph:
         assert g.csr("in") is in_view  # built once, then cached
         with pytest.raises(InputError, match="unknown direction 'sideways'"):
             g.csr("sideways")
+
+
+class TestSocialGraphInput:
+    @pytest.mark.parametrize(
+        "src, dst",
+        [
+            ([0], [3]),  # past the last node
+            ([0, 1], [1]),  # unequal lengths
+            ([-1], [0]),  # negative
+            ([0, 1], [2, 3]),
+        ],
+    )
+    def test_bad_index_arrays_rejected(self, src, dst):
+        with pytest.raises(InputError) as got:
+            SocialGraph(["a", "b", "c"], np.array(src), np.array(dst))
+        assert str(got.value) == "edge index arrays must be of equal length, each index in [0, 3)"
+
+    def test_good_index_arrays_accepted(self):
+        g = SocialGraph(["a", "b", "c"], np.array([0, 2]), np.array([2, 1]))
+        assert sorted(g.edges()) == [("a", "c"), ("c", "b")]
+        empty = SocialGraph([], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        assert empty.node_count == empty.edge_count == 0
+
+    def test_repeated_id_rejected(self):
+        with pytest.raises(InputError) as got:
+            SocialGraph(["a", "b", "a", "b"], np.array([0]), np.array([1]))
+        assert str(got.value) == "repeated id 'a'"
+
+    def test_non_string_id_rejected(self):
+        with pytest.raises(InputError) as got:
+            SocialGraph(["a", 7, "c"], np.array([0]), np.array([2]))
+        assert str(got.value) == "user id must be a string, got 7"
+
+    def test_key_table_adopted(self):
+        keys = graph_module.KeyTable.of(["a", "b"])
+        g = SocialGraph(keys, np.array([1]), np.array([0]))
+        assert g.id_keys is keys
+        assert g.ids is keys.ids == ["a", "b"]
 
 
 class TestLargestWcc:
@@ -432,15 +470,17 @@ def naive_intern(blocks):
 
 
 def intern_blocks(blocks):
-    """Codes per block and ids, interned block by block through one key table."""
+    """Codes per block and ids, interned block by block through one key table.
+
+    One id is looked up alone after each block, so the single-id index is
+    made early and must catch up with the ids of later blocks.
+    """
     keys = graph_module.KeyTable()
-    ids: list = []
     codes = []
     for block in blocks:
-        got, new = keys.intern_strings(list(block))
-        ids += [block[i] for i in new.tolist()]
-        codes.append(got.tolist())
-    return codes, ids, keys
+        codes.append(keys.intern_strings(list(block)).tolist())
+        keys.code("a")
+    return codes, keys.ids, keys
 
 
 class TestInternIds:
@@ -471,6 +511,7 @@ class TestInternIds:
         assert len(keys) == len(want_index)
         probe = list(want_index) + ["zz", "a\x00\x00\x00"]
         assert keys.codes_of(probe).tolist() == [want_index.get(u, -1) for u in probe]
+        assert [keys.code(u) for u in probe] == [want_index.get(u, -1) for u in probe]
 
 
 class TestNeighborSums:
@@ -482,7 +523,7 @@ class TestNeighborSums:
         values = rng.random(n)
         A = np.zeros((n, n))
         for a, b in edges:
-            A[g.id_index[f"n{a}"], g.id_index[f"n{b}"]] = 1.0
+            A[g.ids.index(f"n{a}"), g.ids.index(f"n{b}")] = 1.0
         expect_out = A @ values
         assert np.allclose(g.neighbor_sums(values, "out"), expect_out, atol=1e-12)
         src, dst = g.edge_arrays()

@@ -15,6 +15,7 @@ from hateagg import (
     Dataset,
     InputError,
     ScoreTable,
+    SocialGraph,
     bind_dataset,
     build_features,
     build_graph,
@@ -102,6 +103,16 @@ class TestParseScores:
             table.n_posts("zz")
         assert str(got.value) == "unknown user 'zz' in score table"
 
+    def test_repeated_user_rejected(self):
+        with pytest.raises(InputError) as got:
+            ScoreTable(["a", "b", "b"], [0, 1, 2, 3], [0.1, 0.2, 0.3])
+        assert str(got.value) == "repeated id 'b'"
+
+    def test_non_string_user_rejected(self):
+        with pytest.raises(InputError) as got:
+            ScoreTable.from_mapping({"a": [0.1], 1: [0.5]})
+        assert str(got.value) == "user id must be a string, got 1"
+
     def test_offsets_must_start_at_zero_and_not_decrease(self):
         with pytest.raises(InputError, match="offsets"):
             ScoreTable(["a", "b"], [0, 2, 1], [0.9])
@@ -110,7 +121,7 @@ class TestParseScores:
 
     def test_missing_row_owns_zero_posts(self):
         table = parse_scores("u1,p1,0.5\nu2,p1,0.25\nu2,p2,0.75\n")
-        offsets, values = table.segments(table.rows_of(["u2", "nobody", "u1"]))
+        offsets, values = table.segments(table.id_keys.codes_of(["u2", "nobody", "u1"]))
         assert offsets.tolist() == [0, 2, 2, 3]
         assert values.tolist() == [0.25, 0.75, 0.5]
 
@@ -212,8 +223,8 @@ class TestBindDataset:
         graph = build_graph([("a", "b")])
         scores = parse_scores("a,p,0.9\nghost,p,0.5\n")
         ds = bind_dataset(graph, scores, {})
-        assert "ghost" in ds.graph.id_index
-        assert ds.graph.out_degrees()[ds.graph.id_index["ghost"]] == 0
+        assert "ghost" in ds.graph.ids
+        assert ds.graph.out_degrees()[ds.graph.ids.index("ghost")] == 0
 
     def test_nothing_dropped_keeps_the_parsed_table(self):
         graph = build_graph([("a", "b")])
@@ -229,10 +240,30 @@ class TestBindDataset:
         for scores in ("b,p,0.1\na,p,0.9\n", "a,p,0.9\nghost,p,0.5\n"):
             ds = bind_dataset(graph, parse_scores(scores), {})
             assert ds.scores.id_keys is ds.graph.id_keys
-            assert ds.scores.rows_of(ds.graph.ids).tolist() == list(range(ds.graph.node_count))
+            codes = ds.scores.id_keys.codes_of(ds.graph.ids)
+            assert codes.tolist() == list(range(ds.graph.node_count))
         # extending the graph with "ghost" left the input graph's table as it was
         assert graph.id_keys.codes_of(["a", "b", "ghost"]).tolist() == [0, 1, -1]
-        assert graph.id_index == {"a": 0, "b": 1}
+        assert graph.ids == ["a", "b"]
+        assert [graph.id_keys.code(u) for u in ("a", "b", "ghost")] == [0, 1, -1]
+
+    def test_repeated_graph_id_cannot_shift_the_key_table(self):
+        # three ids over two distinct ones would leave "b" at code 1 in the
+        # key table but at node 2, so bind would read "c"'s scores as absent
+        with pytest.raises(InputError, match="repeated id 'a'"):
+            SocialGraph(["a", "a", "b"], np.array([0, 1]), np.array([2, 2]))
+        graph = SocialGraph(["a", "c", "b"], np.array([0, 1]), np.array([2, 2]))
+        scores = parse_scores("c,p,0.9\nb,p,0.1\n")
+        ds = bind_dataset(graph, scores, {"c": 1, "b": 0})
+        assert ds.labels.tolist() == [-1, 1, 0]
+        assert ds.scores.scores("c").tolist() == [0.9]
+
+    def test_non_string_label_user_rejected(self):
+        graph = build_graph([("a", "b")])
+        scores = parse_scores("a,p,0.9\n")
+        with pytest.raises(InputError) as got:
+            bind_dataset(graph, scores, {5: 1})
+        assert str(got.value) == "user id must be a string, got 5"
 
     def test_misaligned_dataset_rejected(self):
         graph = build_graph([("a", "b")])
@@ -644,7 +675,7 @@ class TestBuildGraphMatchesOracle:
             return
         g = build_graph(pairs, isolated_ids=isolated)
         assert g.ids == ids
-        assert g.id_index == {u: i for i, u in enumerate(ids)}
+        assert [g.id_keys.code(u) for u in ids] == list(range(len(ids)))
         for (indptr, indices), (want_ptr, want_idx) in (
             (g.csr("out"), lexsort_csr(src, dst, len(ids))),
             (g.csr("in"), lexsort_csr(dst, src, len(ids))),
@@ -716,7 +747,7 @@ class TestBindMatchesOracle:
         ds = bind_dataset(graph, scores, labels, policy)
         assert list(ds.discard_summary.items()) == list(summary.items())
         assert ds.graph.ids == ids
-        assert ds.graph.id_index == {u: i for i, u in enumerate(ids)}
+        assert [ds.graph.id_keys.code(u) for u in ids] == list(range(len(ids)))
         assert sorted(ds.graph.edges()) == sorted(edges)
         assert ds.scores.users() == ds.graph.ids
         assert [ds.scores.scores(u).tolist() for u in ds.graph.ids] == posts
