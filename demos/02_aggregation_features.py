@@ -43,7 +43,6 @@ def main() -> None:
     dataset = bind_dataset(
         build_graph(EDGES, isolated_ids=["fay"]),
         table,
-        {},
         policy=BindPolicy(allow_zero_post_users=True),
     )
 

@@ -95,7 +95,7 @@ def _load_dataset(args) -> Dataset:
     # argparse enforces --labels where a subcommand requires it
     graph = build_graph(_parse_file(args.edges, read_edges, "edge"))
     scores = _parse_file(args.scores, parse_scores, "score")
-    labels = _parse_file(args.labels, parse_labels, "label") if args.labels else {}
+    labels = _parse_file(args.labels, parse_labels, "label") if args.labels else None
     policy = BindPolicy(restrict_to_wcc=args.wcc_only, allow_zero_post_users=args.allow_zero_posts)
     dataset = bind_dataset(graph, scores, labels, policy)
     summary_line = json_line(dataset.discard_summary)

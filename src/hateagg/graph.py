@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -159,15 +159,14 @@ class KeyTable:
 
     An id's key is its UTF-8 bytes (see ``_keys``). Ids are grouped by byte
     length, which the group carries, so ``"a"`` and ``"a\\x00"`` stay apart.
-    Each group holds its keys sorted, so a bulk lookup is a ``searchsorted``.
-    The sort order is that of the keys, not of the ids as Python strings.
-    :meth:`code` looks up one id at a time through a dict, made on first use.
+    Each group holds its keys sorted, so a lookup is a ``searchsorted``:
+    :meth:`find` joins a whole table of ids to this one. The sort order is
+    that of the keys, not of the ids as Python strings.
     """
 
     def __init__(self) -> None:
         self.ids: list[str] = []
         self._groups: dict[int, tuple[np.ndarray, np.ndarray]] = {}  # length -> keys, codes
-        self._index: dict[str, int] = {}  # the first ids of ``ids``, for code()
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -229,13 +228,6 @@ class KeyTable:
             self._insert(length, at[new], distinct[new], code[new])
         return codes, np.flatnonzero(taken)
 
-    def code(self, uid: str) -> int:
-        """Code of one id; -1 if absent."""
-        index = self._index
-        if len(index) < len(self.ids):  # index the ids added since the last call
-            index.update(zip(self.ids[len(index) :], range(len(index), len(self.ids))))
-        return index.get(uid, -1)
-
     def _lookup(self, length: int, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(code of each key, -1 if absent; its insertion point) among ``length``-byte ids."""
         table, codes = self._groups.get(length, (keys[:0], np.zeros(0, dtype=np.int64)))
@@ -261,12 +253,6 @@ class KeyTable:
             out[codes] = self._lookup(length, keys)[0]
         return out
 
-    def codes_of(self, ids: list[str]) -> np.ndarray:
-        """Code of each of the ids; -1 if absent."""
-        query = KeyTable()
-        codes = query.intern_strings(ids)
-        return self.find(query)[codes]
-
     def take(self, codes: np.ndarray) -> "KeyTable":
         """The table of the ids with the given codes, numbered in that order."""
         renumber = np.full(len(self), -1, dtype=np.int64)
@@ -290,10 +276,6 @@ class KeyTable:
         return out
 
 
-def _pairs(ids: list, src: np.ndarray, dst: np.ndarray) -> Iterator[tuple[str, str]]:
-    return zip(map(ids.__getitem__, src.tolist()), map(ids.__getitem__, dst.tolist()))
-
-
 @dataclass
 class EdgeList:
     """Directed edges as interned codes, one entry per input edge, in input order.
@@ -313,9 +295,6 @@ class EdgeList:
 
     def __len__(self) -> int:
         return len(self.src)
-
-    def __iter__(self) -> Iterator[tuple[str, str]]:
-        return _pairs(self.ids, self.src, self.dst)
 
     @classmethod
     def from_pairs(cls, edge_pairs: Iterable[tuple[str, str]]) -> "EdgeList":
@@ -430,16 +409,21 @@ class SocialGraph:
     ----------
     id_keys : KeyTable
         The user universe: node index -> external user id (``id_keys.ids``,
-        also ``ids``), and back through ``codes_of`` in bulk or ``code`` for
-        one id.
+        also ``ids``); another table's ids map to node indices through
+        ``id_keys.find``.
     """
 
     def __init__(self, ids: KeyTable | list[str], src: np.ndarray, dst: np.ndarray):
         self.id_keys = ids if isinstance(ids, KeyTable) else KeyTable.of(ids)
         n = len(self.id_keys)
         src, dst = np.asarray(src), np.asarray(dst)
-        if len(src) != len(dst) or len(src) and not (
-            0 <= min(src.min(), dst.min()) and max(src.max(), dst.max()) < n
+        if not len(src) and not len(dst):  # no edges, whatever the dtype (np.asarray([]))
+            src = dst = np.zeros(0, dtype=np.int64)
+        if (
+            len(src) != len(dst)
+            or src.dtype.kind not in "iu"
+            or dst.dtype.kind not in "iu"
+            or len(src) and not (0 <= min(src.min(), dst.min()) and max(src.max(), dst.max()) < n)
         ):
             raise InputError(f"edge index arrays must be of equal length, each index in [0, {n})")
         self.out_indptr, self.out_indices = _csr(src, dst, n)
@@ -466,10 +450,6 @@ class SocialGraph:
 
     def in_degrees(self) -> np.ndarray:
         return np.bincount(self.out_indices, minlength=self.node_count)
-
-    def edges(self) -> Iterator[tuple[str, str]]:
-        """Directed edges as (follower_id, followee_id) pairs, sorted by index."""
-        return _pairs(self.ids, *self.edge_arrays())
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         """Directed edges as (src_indices, dst_indices)."""

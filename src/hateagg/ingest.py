@@ -7,8 +7,9 @@ File formats (UTF-8 text, no headers):
 * scores: ``user_id,post_id,score`` per line, score in [0, 1]; the post id is
   kept only for diagnostics.
 * labels: ``user_id,label`` per line, label in {0, 1}; 1 marks a hate-monger.
-  Parsed labels are a ``{user: label}`` dict in first-seen order; a bound
-  dataset holds them as an int8 column over its nodes, -1 where unlabeled.
+  Parsed labels are a ``KeyTable`` of their users in first-seen order and an
+  int8 column in the table's code order; a bound dataset holds them as an
+  int8 column over its nodes, -1 where unlabeled.
 
 Blank lines are skipped everywhere, and surrounding whitespace is stripped
 from lines and ids. Scores are produced upstream by whatever utterance model
@@ -260,7 +261,7 @@ class ScoreTable:
     appear in first-seen order, scores keep file order within a user, and a
     user may own zero posts. ``users`` is a :class:`KeyTable`, which is
     adopted, not copied, or a list of distinct users; ``id_keys`` holds it
-    and maps users to rows.
+    and maps users to rows. Every score lies in [0, 1].
     """
 
     def __init__(
@@ -276,6 +277,9 @@ class ScoreTable:
             or np.any(np.diff(self.offsets) < 0)
         ):
             raise InputError("score table offsets do not match its users and values")
+        outside = ~((self.values >= 0.0) & (self.values <= 1.0))  # NaN fails both
+        if outside.any():
+            raise InputError(f"score {self.values[np.argmax(outside)]} outside [0, 1]")
 
     @classmethod
     def from_mapping(cls, scores: Mapping[str, Iterable[float]]) -> "ScoreTable":
@@ -292,29 +296,13 @@ class ScoreTable:
     def users(self) -> list[str]:
         return list(self.id_keys.ids)
 
-    def _segment(self, user: str) -> np.ndarray:
-        j = self.id_keys.code(user)
-        if j < 0:
-            raise InputError(f"unknown user {user!r} in score table")
-        return self.values[self.offsets[j] : self.offsets[j + 1]]
-
-    def scores(self, user: str) -> np.ndarray:
-        return self._segment(user).copy()
-
-    def n_posts(self, user: str) -> int:
-        return len(self._segment(user))
-
     def __len__(self) -> int:
         return len(self.id_keys)
-
-    def items(self) -> Iterator[tuple[str, np.ndarray]]:
-        for j, user in enumerate(self.id_keys.ids):
-            yield user, self.values[self.offsets[j] : self.offsets[j + 1]].copy()
 
     def segments(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(offsets, values) of the given rows, concatenated in the given order.
 
-        Row -1 (a user ``id_keys.codes_of`` did not find) owns zero posts.
+        Row -1 (a user ``id_keys.find`` did not find) owns zero posts.
         """
         starts = self.offsets[rows]
         lengths = np.where(rows >= 0, self.offsets[rows + 1] - starts, 0)
@@ -371,10 +359,12 @@ def _rescan_scores(first: int, text: str) -> None:
     raise AssertionError("a bulk score check failed but no line is bad")
 
 
-def parse_labels(stream: IO[str] | str) -> dict[str, int]:
-    """Parse a label file into ``{user: label}``, users in first-seen order.
+def parse_labels(stream: IO[str] | str) -> tuple[KeyTable, np.ndarray]:
+    """Parse a label file into ``(users, labels)``.
 
-    Consistent duplicates are tolerated.
+    ``users`` is the table of the labeled users, numbered in first-seen
+    order, and ``labels`` the int8 label of each, in code order. Consistent
+    duplicates are tolerated.
     """
     keys = KeyTable()
     users = keys.ids  # the table's own list: interning appends to it
@@ -403,7 +393,7 @@ def parse_labels(stream: IO[str] | str) -> dict[str, int]:
         prior, known = known, np.concatenate([known, label[code > seen[:-1]]])
         if np.any(known[code] != label):
             _rescan_labels(first, text, users[:base], prior)
-    return dict(zip(users, known.tolist()))  # every label checked above
+    return keys, known.astype(np.int8)  # every label checked above
 
 
 def _rescan_labels(first: int, text: str, users: list[str], known: np.ndarray) -> None:
@@ -492,25 +482,30 @@ class Dataset:
 def bind_dataset(
     graph: SocialGraph,
     scores: ScoreTable,
-    labels: Mapping[str, int],
+    labels: tuple[KeyTable, np.ndarray] | None = None,
     policy: BindPolicy | None = None,
 ) -> Dataset:
     """Reconcile the three artifacts into one consistent dataset.
 
-    The resulting user universe is the graph's node set, either extended by
-    the scored users outside it as isolated nodes or restricted to the
-    largest weakly connected component. Labeled users must exist in that
-    universe and have a score record unless the policy says otherwise; an
-    error names the first offending user in ``labels`` order. The returned
-    dataset never contains users absent from every input.
+    ``labels`` is what :func:`parse_labels` returns: a table of labeled users
+    and their labels in its code order; None labels nobody. The resulting
+    user universe is the graph's node set, either extended by the scored
+    users outside it as isolated nodes or restricted to the largest weakly
+    connected component. Labeled users must exist in that universe and have
+    a score record unless the policy says otherwise; an error names the
+    first offending user in the label table's order. The returned dataset
+    never contains users absent from every input.
     ``scored_users`` in the summary counts the bound users with a score
     record plus the accepted zero-post labeled users.
     """
     policy = policy or BindPolicy()
-    outside = set(labels.values()).difference((0, 1))
-    if outside:
-        bad = next(label for label in labels.values() if label in outside)
-        raise InputError(f"label must be 0 or 1, got {bad}")
+    users, label = (KeyTable(), np.zeros(0, dtype=np.int8)) if labels is None else labels
+    label = np.asarray(label)
+    if label.shape != (len(users),):
+        raise InputError("label column must hold one entry per labeled user")
+    outside = (label != 0) & (label != 1)
+    if outside.any():
+        raise InputError(f"label must be 0 or 1, got {label[np.argmax(outside)]}")
     summary: dict = {
         "dropped_by_wcc": 0,
         "dropped_scored_users": 0,
@@ -529,20 +524,19 @@ def bind_dataset(
     scored = int(np.count_nonzero(rows >= 0))
     summary["dropped_scored_users"] = len(scores) - scored
 
-    users = list(labels)
-    node = g.id_keys.codes_of(users)
+    node = g.id_keys.find(users)
     bound = node >= 0
     # a label off the bound graph is dropped, unless no input knows its user
-    off = np.flatnonzero(~bound)
-    missing = [users[i] for i in off.tolist()]
-    unknown = np.zeros(len(users), dtype=bool)
-    unknown[off] = (graph.id_keys.codes_of(missing) < 0) & (scores.id_keys.codes_of(missing) < 0)
+    dropped = len(users) - int(np.count_nonzero(bound))
+    unknown = ~bound
+    if dropped:
+        unknown &= (graph.id_keys.find(users) < 0) & (scores.id_keys.find(users) < 0)
     unscored = np.zeros(len(users), dtype=bool)
     unscored[bound] = rows[node[bound]] < 0
     bad = unknown if policy.allow_zero_post_users else unknown | unscored
     if bad.any():
         first = int(np.argmax(bad))
-        user = users[first]
+        user = users.ids[first]
         if unknown[first]:
             raise InputError(f"label for unknown user {user!r}")
         raise InputError(
@@ -550,13 +544,13 @@ def bind_dataset(
             "(set allow_zero_post_users to accept)"
         )
     column = np.full(g.node_count, -1, dtype=np.int8)
-    column[node[bound]] = np.fromiter(labels.values(), dtype=np.int8, count=len(users))[bound]
+    column[node[bound]] = label[bound]
 
-    summary["dropped_labels"] = len(off)
+    summary["dropped_labels"] = dropped
     summary["users"] = g.node_count
     summary["edges"] = g.edge_count
     summary["scored_users"] = scored + int(np.count_nonzero(unscored))
-    summary["labeled_users"] = len(users) - len(off)
+    summary["labeled_users"] = len(users) - dropped
     return Dataset(
         graph=g,
         scores=ScoreTable(g.id_keys, *scores.segments(rows)),

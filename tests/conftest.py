@@ -13,6 +13,8 @@ from hateagg import (
     build_graph,
 )
 
+from oracles import label_table
+
 settings.register_profile(
     "suite",
     deadline=None,
@@ -40,7 +42,8 @@ def make_dataset(
     """Assemble a dataset from literal python structures."""
     graph = build_graph(edges, isolated_ids=isolated)
     table = ScoreTable.from_mapping(scores or {})
-    return bind_dataset(graph, table, labels or {}, policy or BindPolicy(allow_zero_post_users=True))
+    policy = policy or BindPolicy(allow_zero_post_users=True)
+    return bind_dataset(graph, table, label_table(labels or {}), policy)
 
 
 def random_dataset(
@@ -75,5 +78,5 @@ def random_dataset(
 
     graph = build_graph(edges, isolated_ids=tuple(ids))
     return bind_dataset(
-        graph, table, labels, BindPolicy(allow_zero_post_users=True)
+        graph, table, label_table(labels), BindPolicy(allow_zero_post_users=True)
     )

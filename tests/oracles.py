@@ -5,6 +5,10 @@ diffusion step, or a kernel the library used before (scipy's sparse
 products and components, the gather-and-bincount delta sum), written
 independently of the library's vectorized paths. When both routes agree,
 the fast path inherits the trust.
+
+The per-id views of the library's tables live here too: a dict per score
+table or label pair, and id pairs per edge list or graph. The library joins
+users table to table and offers no lookup of one id.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from hateagg import Dataset, InputError
+from hateagg.graph import KeyTable
 from hateagg.serialize import fmt_float
 
 
@@ -33,6 +38,43 @@ def csv_cell(value) -> str:
 
 def csv_line(values) -> str:
     return ",".join(csv_cell(v) for v in values)
+
+
+# -- per-id views of the library's tables ----------------------------------------
+
+
+def label_table(labels: dict) -> tuple[KeyTable, np.ndarray]:
+    """``{user: label}`` as the (users, int8 labels) pair ``parse_labels`` returns."""
+    return KeyTable.of(list(labels)), np.array(list(labels.values()), dtype=np.int8)
+
+
+def label_dict(labels: tuple[KeyTable, np.ndarray]) -> dict[str, int]:
+    """A (users, labels) pair as ``{user: label}``, users in code order."""
+    users, column = labels
+    return dict(zip(users.ids, column.tolist()))
+
+
+def score_dict(table) -> dict[str, list[float]]:
+    """``{user: scores}`` of a score table, users in row order.
+
+    One dict per table: a per-user lookup through it costs a hash, not a scan.
+    """
+    values, bounds = table.values.tolist(), table.offsets.tolist()
+    return {user: values[a:b] for user, a, b in zip(table.id_keys.ids, bounds, bounds[1:])}
+
+
+def edge_pairs(edges) -> list[tuple[str, str]]:
+    """(follower, followee) id pairs: an edge list's in input order, a graph's by index."""
+    src, dst = edges.edge_arrays() if hasattr(edges, "edge_arrays") else (edges.src, edges.dst)
+    ids = edges.ids
+    return [(ids[a], ids[b]) for a, b in zip(src.tolist(), dst.tolist())]
+
+
+def codes_of(keys: KeyTable, ids: list[str]) -> np.ndarray:
+    """Code of each id in ``keys`` through ``KeyTable.find``, -1 if absent; ids may repeat."""
+    query = KeyTable()
+    codes = query.intern_strings(ids)
+    return keys.find(query)[codes]
 
 
 # -- parsing, interning and CSR ------------------------------------------------
@@ -187,7 +229,9 @@ def gather_in_sums(src: np.ndarray, dst: np.ndarray, n: int, values: np.ndarray)
 
 
 def naive_bind(graph, scores, labels, restrict_to_wcc: bool, allow_zero_post_users: bool):
-    """(node ids, edges, posts per node, labels, discard summary) of a bind, by loops.
+    """(node ids, edges, posts per node, ``{user: label}``, discard summary) of a bind, by loops.
+
+    ``labels`` is a (users, labels) pair, as ``bind_dataset`` takes it.
 
     Without ``restrict_to_wcc`` the scored users outside the graph join it
     as isolated nodes in sorted order. With it, the graph shrinks to its
@@ -195,9 +239,9 @@ def naive_bind(graph, scores, labels, restrict_to_wcc: bool, allow_zero_post_use
     smallest node index. A labeled user must be a node or scored, and
     without ``allow_zero_post_users`` also scored.
     """
-    table = {user: [float(s) for s in posts] for user, posts in scores.items()}
+    table = score_dict(scores)
     graph_ids = list(graph.ids)
-    edges = list(graph.edges())
+    edges = edge_pairs(graph)
     summary = {"dropped_by_wcc": 0, "dropped_scored_users": 0, "dropped_labels": 0}
     if restrict_to_wcc:
         if not graph_ids:
@@ -223,7 +267,7 @@ def naive_bind(graph, scores, labels, restrict_to_wcc: bool, allow_zero_post_use
 
     bound_labels = {}
     zero_post = 0
-    for user, label in labels.items():
+    for user, label in label_dict(labels).items():
         if user not in graph_ids and user not in table:
             raise InputError(f"label for unknown user {user!r}")
         if user not in ids:
@@ -267,13 +311,13 @@ def naive_write_rows(keys, values=None, key_fmt: str = "%s") -> str:
 
 
 def naive_write_edges(graph) -> str:
-    return "".join(f"{u},{v}\n" for u, v in graph.edges())
+    return "".join(f"{u},{v}\n" for u, v in edge_pairs(graph))
 
 
 def naive_write_scores(table) -> str:
     return "".join(
-        csv_line([user, f"p{k}", float(s)]) + "\n"
-        for user, scores in table.items()
+        csv_line([user, f"p{k}", s]) + "\n"
+        for user, scores in score_dict(table).items()
         for k, s in enumerate(scores)
     )
 
@@ -331,29 +375,24 @@ def naive_softmax(v: list[float]) -> list[float]:
     return [e / total for e in exps]
 
 
-def _user_scores(dataset: Dataset, user: str) -> list[float]:
-    return [float(s) for s in dataset.scores.scores(user)]
-
-
 def naive_feature_matrix(dataset: Dataset, mode: str, config) -> np.ndarray:
     """Per-user features via direct loops; row order = graph node order."""
     g = dataset.graph
     k = config.k_bins
+    user_scores = score_dict(dataset.scores)
 
     def cf(user: str) -> int:
-        return naive_fixed_classify(
-            _user_scores(dataset, user), config.tau_t, config.tau_fixed
-        )
+        return naive_fixed_classify(user_scores[user], config.tau_t, config.tau_fixed)
 
     followers: dict[str, list[str]] = {user: [] for user in g.ids}
     followees: dict[str, list[str]] = {user: [] for user in g.ids}
-    for src, dst in g.edges():
+    for src, dst in edge_pairs(g):
         followers[dst].append(src)
         followees[src].append(dst)
 
     rows = []
     for user in g.ids:
-        scores = _user_scores(dataset, user)
+        scores = user_scores[user]
         row: list[float] = []
         if mode == "fixed":
             row.append(float(naive_fixed_count(scores, config.tau_t)))

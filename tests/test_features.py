@@ -14,6 +14,7 @@ from oracles import (
     naive_feature_matrix,
     naive_fixed_count,
     naive_softmax,
+    score_dict,
 )
 
 pytestmark = []
@@ -208,9 +209,7 @@ class TestBuildFeatures:
         rng = np.random.default_rng(47)
         ds = random_dataset(rng, max_users=60, max_posts=20)
         fm = build_features(ds, "multimodal", AggregationConfig(k_bins=6))
-        posts = np.array(
-            [ds.scores.n_posts(u) for u in ds.graph.ids]
-        )
+        posts = np.diff(ds.scores.offsets)
         with_posts = posts > 0
         bins_block = fm.values[with_posts, 3:9]
         quant_block = fm.values[with_posts, 9:15]
@@ -224,9 +223,7 @@ class TestBuildFeatures:
         ds = random_dataset(rng, max_users=50, max_posts=15)
         config = AggregationConfig(k_bins=4, softmax_histograms=False)
         fm = build_features(ds, "bins+quantiles", config)
-        posts = np.array(
-            [ds.scores.n_posts(u) for u in ds.graph.ids]
-        )
+        posts = np.diff(ds.scores.offsets)
         assert np.allclose(fm.values[:, :4].sum(axis=1), posts)
         assert np.allclose(fm.values[:, 4:].sum(axis=1), posts)
 
@@ -259,9 +256,10 @@ class TestPerNodeCounts:
         rng = np.random.default_rng(67)
         ds = random_dataset(rng, max_users=40, max_posts=12)
         counts, posts = per_node_counts(ds, 0.5)
+        user_scores = score_dict(ds.scores)
         for i, uid in enumerate(ds.graph.ids):
-            assert counts[i] == naive_fixed_count(list(ds.scores.scores(uid)), 0.5)
-            assert posts[i] == ds.scores.n_posts(uid)
+            assert counts[i] == naive_fixed_count(user_scores[uid], 0.5)
+            assert posts[i] == len(user_scores[uid])
 
 
 class TestRankingInvariance:

@@ -27,7 +27,10 @@ from hateagg import (
 import hateagg.graph as graph_module
 from oracles import (
     brute_clustering,
+    codes_of,
+    edge_pairs,
     gather_in_sums,
+    label_table,
     lexsort_csr,
     numeric_gamma,
     scipy_weak_components,
@@ -130,14 +133,14 @@ class TestBuildGraph:
 
     def test_graph_adopts_the_edge_list_index(self):
         edges = read_edges("a,b\nb,c\n")
-        assert edges.id_keys.codes_of(["a", "b", "c", "y"]).tolist() == [0, 1, 2, -1]
+        assert codes_of(edges.id_keys, ["a", "b", "c", "y"]).tolist() == [0, 1, 2, -1]
         assert build_graph(edges).id_keys is edges.id_keys
         g = build_graph(edges, isolated_ids=("z", "a", "y"))
         assert g.ids == ["a", "b", "c", "y", "z"]
-        assert g.id_keys.codes_of(["z", "y", "c", "x"]).tolist() == [4, 3, 2, -1]
+        assert codes_of(g.id_keys, ["z", "y", "c", "x"]).tolist() == [4, 3, 2, -1]
         # extending for isolated ids copies: the edge list stays as read
         assert len(edges.id_keys) == 3
-        assert edges.id_keys.codes_of(["a", "b", "c", "y", "z"]).tolist() == [0, 1, 2, -1, -1]
+        assert codes_of(edges.id_keys, ["a", "b", "c", "y", "z"]).tolist() == [0, 1, 2, -1, -1]
         assert edges.ids == ["a", "b", "c"]
 
     def test_isolated_ids_registered(self):
@@ -172,6 +175,10 @@ class TestSocialGraphInput:
             ([0, 1], [1]),  # unequal lengths
             ([-1], [0]),  # negative
             ([0, 1], [2, 3]),
+            ([0.7, 1.9], [1, 2]),  # would truncate to the edges a->b, b->c
+            ([True, False], [1, 2]),  # would read as the indices 0 and 1
+            ([0, 1], [1.0, 2.0]),
+            ([0], np.array([1], dtype=object)),
         ],
     )
     def test_bad_index_arrays_rejected(self, src, dst):
@@ -181,9 +188,13 @@ class TestSocialGraphInput:
 
     def test_good_index_arrays_accepted(self):
         g = SocialGraph(["a", "b", "c"], np.array([0, 2]), np.array([2, 1]))
-        assert sorted(g.edges()) == [("a", "c"), ("c", "b")]
+        assert sorted(edge_pairs(g)) == [("a", "c"), ("c", "b")]
+        g = SocialGraph(["a", "b", "c"], np.array([0, 2], dtype=np.uint8), np.array([2, 1]))
+        assert sorted(edge_pairs(g)) == [("a", "c"), ("c", "b")]
         empty = SocialGraph([], np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
         assert empty.node_count == empty.edge_count == 0
+        # np.asarray([]) is float64: an empty edge list needs no integer dtype
+        assert SocialGraph(["a"], np.asarray([]), np.asarray([])).edge_count == 0
 
     def test_repeated_id_rejected(self):
         with pytest.raises(InputError) as got:
@@ -470,16 +481,11 @@ def naive_intern(blocks):
 
 
 def intern_blocks(blocks):
-    """Codes per block and ids, interned block by block through one key table.
-
-    One id is looked up alone after each block, so the single-id index is
-    made early and must catch up with the ids of later blocks.
-    """
+    """Codes per block and ids, interned block by block through one key table."""
     keys = graph_module.KeyTable()
     codes = []
     for block in blocks:
         codes.append(keys.intern_strings(list(block)).tolist())
-        keys.code("a")
     return codes, keys.ids, keys
 
 
@@ -490,7 +496,7 @@ class TestInternIds:
         assert codes == [[0, 1, 0], [2, 0, 3, 2, 1, 4, 3]]
         assert ids == ["a", "b", "c", "d", "e"]
         assert len(keys) == 5
-        assert keys.codes_of(["e", "a", "f", "d"]).tolist() == [4, 0, -1, 3]
+        assert codes_of(keys, ["e", "a", "f", "d"]).tolist() == [4, 0, -1, 3]
 
     @given(
         st.lists(
@@ -510,8 +516,7 @@ class TestInternIds:
         assert got_ids == want_ids
         assert len(keys) == len(want_index)
         probe = list(want_index) + ["zz", "a\x00\x00\x00"]
-        assert keys.codes_of(probe).tolist() == [want_index.get(u, -1) for u in probe]
-        assert [keys.code(u) for u in probe] == [want_index.get(u, -1) for u in probe]
+        assert codes_of(keys, probe).tolist() == [want_index.get(u, -1) for u in probe]
 
 
 class TestNeighborSums:
@@ -624,7 +629,7 @@ class TestBindExtension:
     def test_appended_scored_users_keep_the_views(self):
         g = build_graph([("b", "a"), ("c", "a"), ("a", "d"), ("d", "b"), ("b", "a")])
         scores = ScoreTable.from_mapping({"z": [0.5], "a": [0.1], "e": [0.9, 0.2]})
-        ds = bind_dataset(g, scores, {"a": 1, "e": 0})
+        ds = bind_dataset(g, scores, label_table({"a": 1, "e": 0}))
         assert ds.graph.ids == ["b", "a", "c", "d", "e", "z"]
         src, dst = g.edge_arrays()  # the parent's node indices hold in the extension
         assert_csr_matches_lexsort(ds.graph, src.astype(np.int64), dst.astype(np.int64))

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from hateagg import graph as graph_module
 from hateagg import ingest
+from hateagg.graph import KeyTable
 from hateagg import (
     AggregationConfig,
     BindPolicy,
@@ -29,6 +30,10 @@ from hateagg import (
 
 from conftest import BIND_EXAMPLES, PARSER_EXAMPLES
 from oracles import (
+    codes_of,
+    edge_pairs,
+    label_dict,
+    label_table,
     lexsort_csr,
     naive_bind,
     naive_build_graph,
@@ -39,17 +44,18 @@ from oracles import (
     naive_write_edges,
     naive_write_labels,
     naive_write_scores,
+    score_dict,
 )
 
 
 class TestReadEdges:
     def test_basic(self):
         text = "a,b\nb,c\n"
-        assert list(read_edges(text)) == [("a", "b"), ("b", "c")]
+        assert edge_pairs(read_edges(text)) == [("a", "b"), ("b", "c")]
 
     def test_comments_and_blanks_skipped(self):
         text = "# header comment\n\na,b\n   \n# trailing\nb,c\n"
-        assert list(read_edges(text)) == [("a", "b"), ("b", "c")]
+        assert edge_pairs(read_edges(text)) == [("a", "b"), ("b", "c")]
 
     def test_self_loop_names_line(self):
         with pytest.raises(InputError, match="line 2"):
@@ -64,14 +70,14 @@ class TestReadEdges:
             read_edges(",b\n")
 
     def test_stream_input(self):
-        assert list(read_edges(io.StringIO("a,b\n"))) == [("a", "b")]
+        assert edge_pairs(read_edges(io.StringIO("a,b\n"))) == [("a", "b")]
 
 
 class TestParseScores:
     def test_grouping_preserves_order(self):
         table = parse_scores("u1,p1,0.9\nu1,p2,0.3\nu2,p9,0.5\n")
         assert table.users() == ["u1", "u2"]
-        assert list(table.scores("u1")) == [0.9, 0.3]
+        assert score_dict(table) == {"u1": [0.9, 0.3], "u2": [0.5]}
         assert table.total_posts == 3
 
     def test_out_of_range_score_names_line(self):
@@ -89,19 +95,7 @@ class TestParseScores:
 
     def test_boundary_scores_accepted(self):
         table = parse_scores("u1,p1,0\nu1,p2,1\n")
-        assert list(table.scores("u1")) == [0.0, 1.0]
-
-    def test_unknown_user_lookup_rejected(self):
-        table = parse_scores("u1,p1,0.5\n")
-        with pytest.raises(InputError):
-            table.scores("nobody")
-
-    def test_unknown_user_post_count_rejected(self):
-        table = parse_scores("u1,p1,0.5\n")
-        assert table.n_posts("u1") == 1
-        with pytest.raises(InputError) as got:
-            table.n_posts("zz")
-        assert str(got.value) == "unknown user 'zz' in score table"
+        assert score_dict(table) == {"u1": [0.0, 1.0]}
 
     def test_repeated_user_rejected(self):
         with pytest.raises(InputError) as got:
@@ -119,23 +113,48 @@ class TestParseScores:
         with pytest.raises(InputError, match="offsets"):
             ScoreTable(["a"], [1, 1], [0.9])
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ([0.5, 2.0], "score 2.0 outside [0, 1]"),
+            ([-0.5, 0.5], "score -0.5 outside [0, 1]"),
+            ([0.5, float("nan"), 3.0], "score nan outside [0, 1]"),
+        ],
+    )
+    def test_scores_outside_the_unit_interval_rejected(self, values, message):
+        # the parser names the line; a table built in Python names the value
+        with pytest.raises(InputError) as got:
+            ScoreTable(["a"], [0, len(values)], values)
+        assert str(got.value) == message
+        with pytest.raises(InputError) as got:
+            ScoreTable.from_mapping({"a": [0.5], "b": values})
+        assert str(got.value) == message
+        table = ScoreTable(["a"], [0, 3], [0.0, -0.0, 1.0])
+        assert table.values.tolist() == [0.0, -0.0, 1.0]
+
     def test_missing_row_owns_zero_posts(self):
         table = parse_scores("u1,p1,0.5\nu2,p1,0.25\nu2,p2,0.75\n")
-        offsets, values = table.segments(table.id_keys.codes_of(["u2", "nobody", "u1"]))
+        offsets, values = table.segments(codes_of(table.id_keys, ["u2", "nobody", "u1"]))
         assert offsets.tolist() == [0, 2, 2, 3]
         assert values.tolist() == [0.25, 0.75, 0.5]
 
 
 class TestParseLabels:
     def test_basic(self):
-        labels = parse_labels("u1,1\nu2,0\n")
-        assert labels.get("u1") == 1
-        assert labels.get("u2") == 0
+        assert label_dict(parse_labels("u1,1\nu2,0\n")) == {"u1": 1, "u2": 0}
+
+    def test_key_table_and_int8_column_in_first_seen_order(self):
+        users, labels = parse_labels("u2,0\nu1,1\nu2,0\nu3,1\n")
+        assert isinstance(users, KeyTable)
+        assert users.ids == ["u2", "u1", "u3"]
+        assert codes_of(users, ["u1", "u3", "u2", "u4"]).tolist() == [1, 2, 0, -1]
+        assert labels.dtype == np.int8
+        assert labels.tolist() == [0, 1, 1]
+        users, labels = parse_labels("")
+        assert len(users) == 0 and labels.dtype == np.int8 and labels.shape == (0,)
 
     def test_consistent_duplicate_tolerated(self):
-        labels = parse_labels("u1,1\nu1,1\n")
-        assert labels.get("u1") == 1
-        assert len(labels) == 1
+        assert label_dict(parse_labels("u1,1\nu1,1\n")) == {"u1": 1}
 
     def test_conflicting_duplicate_rejected(self):
         with pytest.raises(InputError, match="conflict"):
@@ -167,8 +186,19 @@ class TestBindDataset:
         graph = build_graph([("a", "b")])
         scores = parse_scores("a,p,0.9\nb,p,0.1\n")
         with pytest.raises(InputError) as got:
-            bind_dataset(graph, scores, {"a": 2})
+            bind_dataset(graph, scores, label_table({"a": 1, "b": 2}))
         assert str(got.value) == "label must be 0 or 1, got 2"
+
+    @pytest.mark.parametrize("column", [[1], [1, 0, 1], [[1, 0]], 1])
+    def test_bind_rejects_a_label_column_unlike_its_table(self, column):
+        graph = build_graph([("a", "b")])
+        scores = parse_scores("a,p,0.9\nb,p,0.1\n")
+        users = KeyTable.of(["a", "b"])
+        with pytest.raises(InputError) as got:
+            bind_dataset(graph, scores, (users, np.array(column, dtype=np.int8)))
+        assert str(got.value) == "label column must hold one entry per labeled user"
+        ds = bind_dataset(graph, scores, (users, np.array([1, 0], dtype=np.int8)))
+        assert ds.labels.tolist() == [1, 0]
 
     def test_wcc_restriction_drops_and_counts(self):
         graph = build_graph([("a", "b"), ("b", "c"), ("x", "y")])
@@ -217,12 +247,12 @@ class TestBindDataset:
         ds = bind_dataset(
             graph, scores, labels, BindPolicy(allow_zero_post_users=True)
         )
-        assert ds.scores.n_posts("b") == 0
+        assert score_dict(ds.scores) == {"a": [0.9], "b": []}
 
     def test_scored_user_missing_from_graph_kept_as_isolated(self):
         graph = build_graph([("a", "b")])
         scores = parse_scores("a,p,0.9\nghost,p,0.5\n")
-        ds = bind_dataset(graph, scores, {})
+        ds = bind_dataset(graph, scores)
         assert "ghost" in ds.graph.ids
         assert ds.graph.out_degrees()[ds.graph.ids.index("ghost")] == 0
 
@@ -238,14 +268,13 @@ class TestBindDataset:
     def test_bound_table_shares_the_graph_index(self):
         graph = build_graph(read_edges("a,b\n"))
         for scores in ("b,p,0.1\na,p,0.9\n", "a,p,0.9\nghost,p,0.5\n"):
-            ds = bind_dataset(graph, parse_scores(scores), {})
+            ds = bind_dataset(graph, parse_scores(scores))
             assert ds.scores.id_keys is ds.graph.id_keys
-            codes = ds.scores.id_keys.codes_of(ds.graph.ids)
+            codes = codes_of(ds.scores.id_keys, ds.graph.ids)
             assert codes.tolist() == list(range(ds.graph.node_count))
         # extending the graph with "ghost" left the input graph's table as it was
-        assert graph.id_keys.codes_of(["a", "b", "ghost"]).tolist() == [0, 1, -1]
+        assert codes_of(graph.id_keys, ["a", "b", "ghost"]).tolist() == [0, 1, -1]
         assert graph.ids == ["a", "b"]
-        assert [graph.id_keys.code(u) for u in ("a", "b", "ghost")] == [0, 1, -1]
 
     def test_repeated_graph_id_cannot_shift_the_key_table(self):
         # three ids over two distinct ones would leave "b" at code 1 in the
@@ -254,15 +283,14 @@ class TestBindDataset:
             SocialGraph(["a", "a", "b"], np.array([0, 1]), np.array([2, 2]))
         graph = SocialGraph(["a", "c", "b"], np.array([0, 1]), np.array([2, 2]))
         scores = parse_scores("c,p,0.9\nb,p,0.1\n")
-        ds = bind_dataset(graph, scores, {"c": 1, "b": 0})
+        ds = bind_dataset(graph, scores, label_table({"c": 1, "b": 0}))
         assert ds.labels.tolist() == [-1, 1, 0]
-        assert ds.scores.scores("c").tolist() == [0.9]
+        assert score_dict(ds.scores) == {"a": [], "c": [0.9], "b": [0.1]}
 
     def test_non_string_label_user_rejected(self):
-        graph = build_graph([("a", "b")])
-        scores = parse_scores("a,p,0.9\n")
+        # a label pair holds its users in a key table, which takes only strings
         with pytest.raises(InputError) as got:
-            bind_dataset(graph, scores, {5: 1})
+            label_table({"a": 0, 5: 1})
         assert str(got.value) == "user id must be a string, got 5"
 
     def test_misaligned_dataset_rejected(self):
@@ -287,7 +315,7 @@ class TestBindDataset:
     def test_never_invents_users(self):
         graph = build_graph([("a", "b")])
         scores = parse_scores("a,p,0.9\n")
-        ds = bind_dataset(graph, scores, {})
+        ds = bind_dataset(graph, scores)
         assert set(ds.graph.ids) <= {"a", "b"}
 
     def test_labeled_indices_sorted_and_aligned(self):
@@ -311,17 +339,16 @@ class TestRoundTrips:
         write_scores(table, buf)
         back = parse_scores(buf.getvalue())
         # zero-post users cannot survive the file format, so compare posters
-        posters = [u for u in table.users() if table.n_posts(u) > 0]
-        assert back.users() == posters
-        for u in posters:
-            assert list(back.scores(u)) == list(table.scores(u))
+        posters = {u: s for u, s in score_dict(table).items() if s}
+        assert back.users() == list(posters)
+        assert score_dict(back) == posters
 
     def test_edges_round_trip(self):
         g = build_graph([("a", "b"), ("b", "c"), ("a", "c")])
         buf = io.StringIO()
         write_edges(g, buf)
         again = build_graph(read_edges(buf.getvalue()))
-        assert sorted(again.edges()) == sorted(g.edges())
+        assert sorted(edge_pairs(again)) == sorted(edge_pairs(g))
 
     def test_labels_round_trip(self):
         graph = build_graph([("u3", "u1"), ("u1", "u4")])
@@ -331,7 +358,7 @@ class TestRoundTrips:
         buf = io.StringIO()
         write_labels(ds, buf)
         assert buf.getvalue() == "u3,1\nu1,1\nu2,0\n"  # node order
-        assert parse_labels(buf.getvalue()) == labels
+        assert label_dict(parse_labels(buf.getvalue())) == label_dict(labels)
 
 
 # -- bulk parsers against the line-by-line oracles ------------------------------
@@ -464,11 +491,11 @@ def check_edges(text):
         if kind == "error":
             assert got == want
             continue
-        assert list(got) == want
+        assert edge_pairs(got) == want
         ids, src, dst = naive_build_graph(want)
         assert got.ids == ids
         assert len(got.id_keys) == len(ids)
-        assert got.id_keys.codes_of(ids).tolist() == list(range(len(ids)))
+        assert codes_of(got.id_keys, ids).tolist() == list(range(len(ids)))
         assert np.array_equal(got.src, src)
         assert np.array_equal(got.dst, dst)
         assert len(got) == len(want)
@@ -498,7 +525,8 @@ def check_labels(text):
         if kind == "error":
             assert got == want
             continue
-        assert list(got.items()) == list(want.items())
+        assert got[1].dtype == np.int8
+        assert list(label_dict(got).items()) == list(want.items())
 
 
 BLOCKS = st.sampled_from([1, 3, 16, ingest._BLOCK_CHARS])
@@ -557,9 +585,7 @@ class TestBulkParsersMatchOracles:
         assert len(text) > 2 * ingest._BLOCK_CHARS
         table = parse_scores(text)
         want = naive_parse_scores(text)
-        assert table.users() == list(want)
-        for user, scores in want.items():
-            assert table.scores(user).tolist() == scores
+        assert list(score_dict(table).items()) == list(want.items())
         bad = text.replace("u5,p159525,", "u5,p159525,x", 1)
         with pytest.raises(InputError, match="line 159526: non-numeric"):
             parse_scores(bad)
@@ -568,7 +594,8 @@ class TestBulkParsersMatchOracles:
         rows = [f"u{i % 99_991},{i % 99_991 % 2}" for i in range(300_000)]
         text = "\n".join(rows) + "\n"
         assert len(text) > 2 * ingest._BLOCK_CHARS
-        assert list(parse_labels(text).items()) == list(naive_parse_labels(text).items())
+        want = naive_parse_labels(text)
+        assert list(label_dict(parse_labels(text)).items()) == list(want.items())
         rows[250_000] = "u50018,1"  # its first row, 50019, says 0
         bad = "\n".join(rows) + "\n"
         with pytest.raises(InputError) as got:
@@ -675,7 +702,7 @@ class TestBuildGraphMatchesOracle:
             return
         g = build_graph(pairs, isolated_ids=isolated)
         assert g.ids == ids
-        assert [g.id_keys.code(u) for u in ids] == list(range(len(ids)))
+        assert codes_of(g.id_keys, ids).tolist() == list(range(len(ids)))
         for (indptr, indices), (want_ptr, want_idx) in (
             (g.csr("out"), lexsort_csr(src, dst, len(ids))),
             (g.csr("in"), lexsort_csr(dst, src, len(ids))),
@@ -723,9 +750,9 @@ def bind_inputs(draw):
     scored = draw(st.lists(st.sampled_from(NODES + OUTSIDERS), unique=True))
     posts = st.lists(st.floats(0.0, 1.0), max_size=4)
     scores = ScoreTable.from_mapping({u: draw(posts) for u in scored})
-    labels = draw(
+    labels = label_table(draw(
         st.dictionaries(st.sampled_from(NODES + OUTSIDERS + UNKNOWN), st.integers(0, 1), max_size=12)
-    )
+    ))
     policy = BindPolicy(draw(st.booleans()), draw(st.booleans()))
     return graph, scores, labels, policy
 
@@ -747,10 +774,10 @@ class TestBindMatchesOracle:
         ds = bind_dataset(graph, scores, labels, policy)
         assert list(ds.discard_summary.items()) == list(summary.items())
         assert ds.graph.ids == ids
-        assert [ds.graph.id_keys.code(u) for u in ids] == list(range(len(ids)))
-        assert sorted(ds.graph.edges()) == sorted(edges)
+        assert codes_of(ds.graph.id_keys, ids).tolist() == list(range(len(ids)))
+        assert sorted(edge_pairs(ds.graph)) == sorted(edges)
         assert ds.scores.users() == ds.graph.ids
-        assert [ds.scores.scores(u).tolist() for u in ds.graph.ids] == posts
+        assert list(score_dict(ds.scores).values()) == posts
         column = [bound_labels.get(u, -1) for u in ids]
         assert ds.labels.dtype == np.int8
         assert ds.labels.tolist() == column

@@ -13,6 +13,8 @@ from hateagg import (
 )
 from hateagg.synth import _sample_distinct
 
+from oracles import score_dict
+
 
 def edge_index_pairs(ds):
     # synth ids are already in index order, so edge arrays are index pairs
@@ -139,8 +141,8 @@ class TestGenerate:
         sa, da = a.graph.edge_arrays()
         sb, db = b.graph.edge_arrays()
         assert np.array_equal(sa, sb) and np.array_equal(da, db)
-        for uid in a.graph.ids:
-            assert np.array_equal(a.scores.scores(uid), b.scores.scores(uid))
+        assert np.array_equal(a.scores.offsets, b.scores.offsets)
+        assert np.array_equal(a.scores.values.view(np.uint64), b.scores.values.view(np.uint64))
         assert a.labels.dtype == np.int8
         assert np.array_equal(a.labels, b.labels)
 
@@ -180,27 +182,27 @@ class TestGenerate:
     def test_post_counts_in_configured_range(self):
         config = self.small(posts_per_user=(3, 9))
         ds = generate(config)
-        counts = [ds.scores.n_posts(uid) for uid in ds.graph.ids]
+        counts = np.diff(ds.scores.offsets)
         assert min(counts) >= 3
         assert max(counts) <= 9
 
     def test_scores_in_unit_interval(self):
         ds = generate(self.small())
-        for uid in ds.graph.ids:
-            s = ds.scores.scores(uid)
-            assert np.all((s >= 0.0) & (s <= 1.0))
+        s = ds.scores.values
+        assert np.all((s >= 0.0) & (s <= 1.0))
 
     def test_unambiguous_posts_follow_beta_tails(self):
         # with no coded language, flag rates equal the Beta tail masses
         config = self.small(n_users=100, ambiguity=0.0, posts_per_user=(40, 50))
         ds = generate(config)
         truth = planted_labels(config)
+        user_scores = score_dict(ds.scores)
         ids = ds.graph.ids
         hate_scores = np.concatenate(
-            [ds.scores.scores(ids[i]) for i in range(100) if truth[i] == 1]
+            [user_scores[ids[i]] for i in range(100) if truth[i] == 1]
         )
         norm_scores = np.concatenate(
-            [ds.scores.scores(ids[i]) for i in range(100) if truth[i] == 0]
+            [user_scores[ids[i]] for i in range(100) if truth[i] == 0]
         )
         # Beta(8, 2) mass above 0.5 and Beta(2, 8) mass above 0.5
         assert abs(np.mean(hate_scores >= 0.5) - 0.98046875) < 0.02
@@ -213,9 +215,10 @@ class TestGenerate:
             config = self.small(n_users=100, ambiguity=amb, posts_per_user=(40, 50))
             ds = generate(config)
             truth = planted_labels(config)
+            user_scores = score_dict(ds.scores)
             ids = ds.graph.ids
             hate_scores = np.concatenate(
-                [ds.scores.scores(ids[i]) for i in range(100) if truth[i] == 1]
+                [user_scores[ids[i]] for i in range(100) if truth[i] == 1]
             )
             rates.append(float(np.mean(hate_scores >= 0.5)))
         assert rates[0] > rates[1] > rates[2]
@@ -239,11 +242,12 @@ class TestGenerate:
     def test_scores_only_labeled_leaves_rest_unscored(self):
         config = self.small(n_users=80, n_labeled=15, scores_only_labeled=True)
         ds = generate(config)
+        user_scores = score_dict(ds.scores)
         for uid, label in zip(ds.graph.ids, ds.labels.tolist()):
             if label >= 0:
-                assert ds.scores.n_posts(uid) > 0
+                assert len(user_scores[uid]) > 0
             else:
-                assert ds.scores.n_posts(uid) == 0
+                assert len(user_scores[uid]) == 0
         assert ds.discard_summary["scored_users"] == 15
 
     def test_clean_regime_is_sweepable_to_high_f1(self):
