@@ -41,6 +41,13 @@ __all__ = [
 
 MODES = ("fixed", "relational", "bins", "quantiles", "bins+quantiles", "multimodal")
 
+
+def check_tau_t(tau_t: float) -> None:
+    """InputError unless the post-level threshold lies in [0, 1] (NaN does not)."""
+    if not (0.0 <= tau_t <= 1.0):
+        raise InputError(f"tau_t must be in [0, 1], got {tau_t}")
+
+
 @dataclass
 class AggregationConfig:
     """Aggregation hyperparameters.
@@ -56,8 +63,7 @@ class AggregationConfig:
     softmax_histograms: bool = True
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.tau_t <= 1.0):
-            raise InputError(f"tau_t must be in [0, 1], got {self.tau_t}")
+        check_tau_t(self.tau_t)
         if self.tau_fixed < 1:
             raise InputError(f"tau_fixed must be >= 1, got {self.tau_fixed}")
         if self.k_bins < 2:

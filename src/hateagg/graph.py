@@ -110,7 +110,7 @@ def _strings(data: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> list[str
     bounds = np.cumsum(sizes)
     kept = data[np.arange(bounds[-1]) + np.repeat(starts - (bounds - sizes), sizes)]
     kept[bounds - 1] = 0x0A
-    return kept[:-1].tobytes().decode().split("\n")
+    return kept[:-1].tobytes().decode("utf-8", "surrogatepass").split("\n")
 
 
 def _by_length(lengths: np.ndarray) -> list[tuple[int, np.ndarray]]:

@@ -11,20 +11,16 @@ File formats (UTF-8 text, no headers):
   int8 column in the table's code order; a bound dataset holds them as an
   int8 column over its nodes, -1 where unlabeled.
 
-Blank lines are skipped everywhere, and surrounding whitespace is stripped
-from lines and ids. Scores are produced upstream by whatever utterance model
-the deployment uses; this package never sees text.
+Blank lines are skipped everywhere, and whitespace (what ``str.strip``
+strips) around lines and ids is dropped. Scores are produced upstream by
+whatever utterance model the deployment uses; this package never sees text.
 
-The parsers read ``_BLOCK_CHARS`` characters at a time, cut at a line end. A
-bare block, which no ``strip`` would change, is tokenized on its UTF-8 bytes
-with numpy: the separators are found in one pass, and its score column is
-cast from bytes (``_BareBlock``). Other blocks go through the per-line
-``strip`` path (``_checked_lines``). Either way the ids of a file go through
-one ``KeyTable``, which a parsed edge list or score table keeps as its user
-universe: each block's distinct ids are found by sorting their packed keys
-and are looked up in the table, which appends a Python string only for an
-id the file has not shown before. Both paths feed the same bulk checks, and
-a block that fails one is re-read line by line (``_rescan_*``) to raise the
+The parsers read ``_BLOCK_CHARS`` characters at a time, cut at a line end,
+and tokenize each block once, on its UTF-8 bytes (``_Block``): ASCII
+whitespace moves field offsets, and only a block holding another is first
+stripped in Python. The ids of a file go through one ``KeyTable``, which a
+parsed edge list or score table keeps as its user universe. A block that
+fails a bulk check is re-read line by line (``_rescan_*``) to raise the
 first bad line's error, so messages and line numbers are those of a
 line-by-line parse.
 """
@@ -32,9 +28,9 @@ line-by-line parse.
 from __future__ import annotations
 
 import io
-import itertools
+import re
 from dataclasses import dataclass, field
-from typing import IO, Iterable, Iterator, Mapping
+from typing import IO, Iterable, Iterator, Mapping, NoReturn
 
 import numpy as np
 
@@ -94,56 +90,99 @@ def _raw_lines(text: str) -> list[str]:
     return text[:-1].split("\n")
 
 
-class _BareBlock:
-    """A block that needs no normalizing, held as byte offsets into its UTF-8 text.
+# ``str.isspace`` whitespace (a test walks every code point): its ASCII part
+# but the newline is trimmed as bytes; a block holding the rest is stripped first
+_IS_SPACE = np.isin(np.arange(256), list(b"\t\v\f\r\x1c\x1d\x1e\x1f "))
+_WIDE_SPACE = re.compile("[\x85\xa0\u1680\u2000-\u200a\u2028\u2029\u202f\u205f\u3000]")
 
-    Field ``k`` of line ``i`` is ``data[starts[i, k]:ends[i, k]]``, and
-    ``ends[i, k]`` is the comma or newline after it.
+
+def _strip_lines(text: str, edges: bool) -> str:
+    """The block with each line and id field stripped; a number keeps its leading whitespace."""
+    out = []
+    for line in _raw_lines(text):
+        *head, tail = line.strip().split(",")
+        out.append(",".join([*map(str.strip, head), tail.strip() if edges else tail]) + "\n")
+    return "".join(out)
+
+
+class _Block:
+    """A block's data lines, held as byte offsets into its UTF-8 text.
+
+    Field ``k`` of line ``i`` is ``data[starts[i, k]:ends[i, k]]``, trimmed
+    of whitespace, and ``data`` holds a byte at every end.
     """
 
     def __init__(self, data: np.ndarray, starts: np.ndarray, ends: np.ndarray):
         self.data, self.starts, self.ends = data, starts, ends
 
     @classmethod
-    def of(cls, text: str, fields: int, comments: bool) -> "_BareBlock | None":
-        """The block as offsets, or None unless it is bare.
+    def of(cls, text: str, fields: int, edges: bool) -> "_Block | None":
+        """The block's data lines, or None unless each holds ``fields`` fields.
 
-        Bare: no line needs ``strip`` and every line holds ``fields``
-        non-empty fields (with ``comments``, no line starts with ``#``). The
-        only whitespace ``str.strip`` removes that is printable is the
-        space, so a block whose bytes are printable ASCII or newlines, or
-        whose text is printable apart from its newlines, strips to itself.
+        Blank lines drop out, and in an edge file so do lines whose first
+        non-space byte is ``#``. Outside edge files the last field is a number;
+        its leading whitespace is left to ``float()`` and ``int()`` to skip.
         """
-        if not text.isascii() and not text.replace("\n", ",").isprintable():
-            return None
-        data = np.frombuffer(text.encode(), dtype=np.uint8)
+        if not text.isascii() and _WIDE_SPACE.search(text):
+            text = _strip_lines(text, edges)
+        data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
         sep = np.flatnonzero((data == 0x2C) | (data == 0x0A))
+        starts = np.append(0, sep[:-1] + 1)
         lines, rest = divmod(len(sep), fields)
-        if rest or not np.all(data[sep[fields - 1 :: fields]] == 0x0A):
+        # bare: no byte below 0x21 but the line ends, no empty field, no comment
+        if (
+            not rest
+            and np.all(data[sep[fields - 1 :: fields]] == 0x0A)
+            and np.count_nonzero(data < 0x21) == lines
+            and not np.any(starts == sep)
+            and not (edges and np.any(data[starts[::fields]] == 0x23))
+        ):
+            return cls(data, starts.reshape(lines, fields), sep.reshape(lines, fields))
+        return cls._trimmed(data, sep, starts, fields, edges)
+
+    @classmethod
+    def _trimmed(
+        cls, data: np.ndarray, sep: np.ndarray, starts: np.ndarray, fields: int, edges: bool
+    ) -> "_Block | None":
+        """:meth:`of` past its bare test: whitespace moves the offsets, no text is copied."""
+        # a field's leading whitespace run starts at its first byte, its trailing
+        # one ends at its separator; ``run`` holds a run's length at both ends
+        low = np.flatnonzero(data < 0x21)
+        space = low[_IS_SPACE[data[low]]]
+        head = np.flatnonzero(np.diff(space, prepend=-2) != 1)
+        size = np.diff(head, append=len(space))
+        run = np.zeros(len(data) + 1, dtype=np.intp)
+        run[space[head]] = size
+        run[space[head + size - 1] + 1] = size
+        newline = data[sep] == 0x0A
+        ends = sep[newline]  # of the lines
+        lead = np.append(0, ends[:-1] + 1)
+        lead += run[lead]
+        dropped = (lead == ends) | (edges & (data[lead] == 0x23))
+        if dropped.any():
+            keep = np.repeat(~dropped, np.diff(np.append(-1, np.flatnonzero(newline))))
+            sep, starts, newline = sep[keep], starts[keep], newline[keep]
+        lines, rest = divmod(len(sep), fields)
+        if rest or np.count_nonzero(newline) != lines or not np.all(newline[fields - 1 :: fields]):
             return None
-        # the newlines closing the lines are the only space or control bytes
-        if np.count_nonzero((data < 0x21) | (data == 0x7F)) != lines:
-            return None
-        starts = np.empty_like(sep)
-        starts[0] = 0
-        starts[1:] = sep[:-1] + 1
-        starts, ends = starts.reshape(lines, fields), sep.reshape(lines, fields)
-        if np.any(starts == ends) or (comments and np.any(data[starts[:, 0]] == 0x23)):
-            return None
-        return cls(data, starts, ends)
+        trimmed = starts + run[starts]
+        if not edges:  # the last field is a number, which keeps its leading whitespace
+            trimmed[fields - 1 :: fields] = starts[fields - 1 :: fields]
+        ends = np.maximum(sep - run[sep], trimmed)
+        return cls(data, trimmed.reshape(lines, fields), ends.reshape(lines, fields))
 
     def floats(self, column: int) -> np.ndarray:
         """Field ``column`` of every line as floats, as ``float()`` reads it.
 
         The fields are cast from bytes, which numpy parses with CPython's
-        float parser. A field the cast rejects but ``float()`` may read (say,
-        Arabic-Indic digits), or a column too wide to copy, goes through
-        ``float()`` on each string; ValueError if a field is not a number.
+        float parser. A field the cast rejects (say, Arabic-Indic digits) or
+        that ends in a zero byte, which numpy ``S`` drops, or a column too wide
+        to copy, goes through ``float()``; ValueError if one is not a number.
         """
         starts, ends = self.starts[:, column], self.ends[:, column]
         lengths = ends - starts
-        width = int(lengths.max())
-        if width * len(starts) <= len(self.data):
+        width = int(lengths.max(initial=0))
+        if 0 < width and width * len(starts) <= len(self.data) and self.data[ends - 1].all():
             pad = np.zeros(len(self.data) + width, dtype=np.uint8)
             pad[: len(self.data)] = self.data
             # a view at every byte offset, so one 1-d gather copies the fields
@@ -154,64 +193,13 @@ class _BareBlock:
                 return fields.astype(np.float64)
             except ValueError:
                 pass
-        return _floats(_strings(self.data, starts, ends))
+        return np.array(list(map(float, _strings(self.data, starts, ends))), dtype=np.float64)
 
     def ids(self, keys: KeyTable, column: int | None = None) -> np.ndarray:
-        """Codes of field ``column`` (None: every field) in line order, interned in ``keys``.
-
-        Only the new ids become Python strings.
-        """
+        """Codes of field ``column`` (None: every field) in line order, interned in ``keys``."""
         starts = (self.starts if column is None else self.starts[:, column]).ravel()
         ends = (self.ends if column is None else self.ends[:, column]).ravel()
         return keys.intern(self.data, starts, ends)
-
-
-class _SplitBlock:
-    """A block's fields as Python strings, after the per-line ``strip`` path."""
-
-    def __init__(self, tokens: list[str], fields: int):
-        self.tokens, self.fields = tokens, fields
-
-    def strings(self, column: int) -> list[str]:
-        """Field ``column`` of every line, as split (float and int skip whitespace)."""
-        return self.tokens[column :: self.fields]
-
-    def floats(self, column: int) -> np.ndarray:
-        """Field ``column`` of every line through ``float()``; ValueError if one is not a number."""
-        return _floats(self.strings(column))
-
-    def ids(self, keys: KeyTable, column: int | None = None) -> np.ndarray:
-        """Codes of field ``column`` (None: every field), stripped, interned in ``keys``."""
-        tokens = self.tokens if column is None else self.strings(column)
-        return keys.intern_strings(list(map(str.strip, tokens)))
-
-
-def _floats(texts: list[str]) -> np.ndarray:
-    return np.fromiter(map(float, texts), dtype=np.float64, count=len(texts))
-
-
-def _checked_lines(raw: list[str], fields: int, comments: bool) -> list[str] | None:
-    """Stripped data lines of a block, or None unless each has ``fields`` fields."""
-    lines = list(filter(None, map(str.strip, raw)))
-    if comments:
-        lines = [line for line in lines if line[0] != "#"]
-    if not set(map(str.count, lines, itertools.repeat(","))) <= {fields - 1}:
-        return None
-    return lines
-
-
-def _fields(text: str, fields: int, comments: bool) -> _BareBlock | _SplitBlock | None:
-    """A block's fields: bare blocks as offsets, others through ``_checked_lines``.
-
-    None when some line does not hold ``fields`` fields.
-    """
-    bare = _BareBlock.of(text, fields, comments)
-    if bare is not None:
-        return bare
-    lines = _checked_lines(_raw_lines(text), fields, comments)
-    if lines is None:
-        return None
-    return _SplitBlock(",".join(lines).split(",") if lines else [], fields)
 
 
 def read_edges(stream: IO[str] | str) -> EdgeList:
@@ -224,9 +212,7 @@ def read_edges(stream: IO[str] | str) -> EdgeList:
     keys = KeyTable()
     srcs, dsts = [], []
     for first, text in _text_blocks(stream):
-        block = _fields(text, 2, comments=True)
-        if block is None:
-            _rescan_edges(first, text)
+        block = _Block.of(text, 2, edges=True) or _rescan_edges(first, text)
         base = len(keys)
         codes = block.ids(keys)
         src, dst = codes[0::2], codes[1::2]
@@ -238,7 +224,7 @@ def read_edges(stream: IO[str] | str) -> EdgeList:
     return EdgeList(keys, np.concatenate([empty, *srcs]), np.concatenate([empty, *dsts]))
 
 
-def _rescan_edges(first: int, text: str) -> None:
+def _rescan_edges(first: int, text: str) -> NoReturn:
     """Raise the error of the first bad line in a block that failed a bulk check."""
     for lineno, line in enumerate(map(str.strip, _raw_lines(text)), start=first):
         if not line or line.startswith("#"):
@@ -317,9 +303,7 @@ def parse_scores(stream: IO[str] | str) -> ScoreTable:
     keys = KeyTable()
     codes, values = [], []
     for first, text in _text_blocks(stream):
-        block = _fields(text, 3, comments=False)
-        if block is None:
-            _rescan_scores(first, text)
+        block = _Block.of(text, 3, edges=False) or _rescan_scores(first, text)
         try:
             value = block.floats(2)
         except ValueError:
@@ -338,7 +322,7 @@ def parse_scores(stream: IO[str] | str) -> ScoreTable:
     return ScoreTable(keys, offsets, np.concatenate([np.zeros(0), *values])[order])
 
 
-def _rescan_scores(first: int, text: str) -> None:
+def _rescan_scores(first: int, text: str) -> NoReturn:
     """Raise the error of the first bad line in a block that failed a bulk check."""
     for lineno, line in enumerate(map(str.strip, _raw_lines(text)), start=first):
         if not line:
@@ -374,9 +358,7 @@ def parse_labels(stream: IO[str] | str) -> tuple[KeyTable, np.ndarray]:
     text_label = np.zeros(0, dtype=np.int64)
     for first, text in _text_blocks(stream):
         base = len(users)
-        block = _fields(text, 2, comments=False)
-        if block is None:
-            _rescan_labels(first, text, users[:base], known)
+        block = _Block.of(text, 2, edges=False) or _rescan_labels(first, text, users[:base], known)
         code = block.ids(keys, 0)
         text_code = block.ids(texts, 1)
         try:
@@ -396,7 +378,7 @@ def parse_labels(stream: IO[str] | str) -> tuple[KeyTable, np.ndarray]:
     return keys, known.astype(np.int8)  # every label checked above
 
 
-def _rescan_labels(first: int, text: str, users: list[str], known: np.ndarray) -> None:
+def _rescan_labels(first: int, text: str, users: list[str], known: np.ndarray) -> NoReturn:
     """Raise the error of the first bad line in a block that failed a bulk check.
 
     ``users`` and their labels ``known`` are those of the blocks before.
@@ -562,8 +544,22 @@ def bind_dataset(
 # -- writers (inverse of the parsers; 17-digit floats round-trip exactly) ----
 
 
+def _check_ids(ids: Iterable[str], source: bool = False) -> None:
+    """InputError on the first id the parsers would not read back as itself.
+
+    It is empty, holds a comma or line end, has whitespace at an end, or
+    (``source``: the first field of an edge line) starts with ``#``.
+    """
+    for u in ids:
+        bad = not u or u[0].isspace() or u[-1].isspace() or "," in u or "\n" in u or "\r" in u
+        if bad or (source and u[0] == "#"):
+            raise InputError(f"cannot write id {u!r}: it would not read back as itself")
+
+
 def write_edges(graph: SocialGraph, stream: IO[str]) -> None:
     ids = np.array(graph.ids, dtype=object)
+    _check_ids(ids[graph.out_degrees() > 0], source=True)
+    _check_ids(ids[graph.in_degrees() > 0])
     src, dst = graph.edge_arrays()
     write_rows(stream, [ids[src], ids[dst]], key_fmt="%s,%s")
 
@@ -571,12 +567,15 @@ def write_edges(graph: SocialGraph, stream: IO[str]) -> None:
 def write_scores(table: ScoreTable, stream: IO[str]) -> None:
     """Emit ``user_id,post_id,score`` rows; post ids are synthesized as p<k>."""
     lengths = np.diff(table.offsets)
-    users = np.repeat(np.array(table.users(), dtype=object), lengths)
+    users = np.array(table.users(), dtype=object)
+    _check_ids(users[lengths > 0])
     post = np.arange(table.total_posts) - np.repeat(table.offsets[:-1], lengths)
-    write_rows(stream, [users, post], table.values[:, None], key_fmt="%s,p%d")
+    write_rows(stream, [np.repeat(users, lengths), post], table.values[:, None], key_fmt="%s,p%d")
 
 
 def write_labels(dataset: Dataset, stream: IO[str]) -> None:
     """Emit ``user_id,label`` rows for the labeled nodes, in node order."""
     node_idx, y = dataset.labeled_indices()
-    write_rows(stream, [np.array(dataset.graph.ids, dtype=object)[node_idx], y], key_fmt="%s,%d")
+    users = np.array(dataset.graph.ids, dtype=object)[node_idx]
+    _check_ids(users)
+    write_rows(stream, [users, y], key_fmt="%s,%d")

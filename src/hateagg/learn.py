@@ -25,7 +25,7 @@ import numpy as np
 
 from .degroot import DiffusionConfig, degroot_init, degroot_run
 from .errors import DegenerateDataError, InputError
-from .features import AggregationConfig, build_features, per_node_counts
+from .features import AggregationConfig, build_features, check_tau_t, per_node_counts
 from .ingest import Dataset
 from .serialize import dump_json
 
@@ -490,6 +490,7 @@ def threshold_sweep(
         raise InputError("thresholds must be sorted ascending")
     if any(t < 1 for t in thresholds):
         raise InputError("thresholds must be >= 1")
+    check_tau_t(tau_t)
     counts, _ = per_node_counts(dataset, tau_t)
     node_idx, y = dataset.labeled_indices()
     if len(y) == 0:

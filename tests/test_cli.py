@@ -413,22 +413,26 @@ class TestEval:
         assert "labels line 2: label must be 0 or 1, got 2\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "flags, key",
+        "argv, key",
         [
-            (["--seed", "-1"], "seed"),
-            (["--l2-lambda", "nan"], "l2_lambda"),
-            (["--l2-lambda", "inf"], "l2_lambda"),
-            (["--mode", "degroot", "--tol", "nan"], "tol"),
+            (["eval", "--seed", "-1"], "seed"),
+            (["eval", "--l2-lambda", "nan"], "l2_lambda"),
+            (["eval", "--l2-lambda", "inf"], "l2_lambda"),
+            (["eval", "--mode", "degroot", "--tol", "nan"], "tol"),
             # DeGroot settings are validated in every mode, not only degroot
-            (["--mode", "fixed", "--tol", "nan"], "tol"),
-            (["--mode", "multimodal", "--max-iters", "0"], "max_iters"),
+            (["eval", "--mode", "fixed", "--tol", "nan"], "tol"),
+            (["eval", "--mode", "multimodal", "--max-iters", "0"], "max_iters"),
+            (["sweep", "--tau-t", "nan"], "tau_t must be in [0, 1], got nan"),
+            (["sweep", "--tau-t", "7"], "tau_t must be in [0, 1], got 7.0"),
+            (["features", "--tau-t", "nan"], "tau_t must be in [0, 1], got nan"),
         ],
         ids=["negative-seed", "nan-l2", "inf-l2", "nan-tol", "fixed-nan-tol",
-             "multimodal-zero-max-iters"],
+             "multimodal-zero-max-iters", "sweep-nan-tau-t", "sweep-tau-t-above-1",
+             "features-nan-tau-t"],
     )
-    def test_bad_settings_exit_2(self, synth_dir, tmp_path, capsys, flags, key):
+    def test_bad_settings_exit_2(self, synth_dir, tmp_path, capsys, argv, key):
         out = tmp_path / "x.json"
-        assert run("eval", *synth_args(synth_dir), *flags, "--out", str(out)) == 2
+        assert run(argv[0], *synth_args(synth_dir), *argv[1:], "--out", str(out)) == 2
         assert key in capsys.readouterr().err
         assert not out.exists()
 
@@ -525,3 +529,43 @@ class TestDiffuse:
             ) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+def spaced(lines: list[str], comments: bool) -> bytes:
+    """The lines padded around every field and line, CRLF-ended, with blank lines and a BOM."""
+    pads = [" ", "\t", "  ", " \t"]
+    rows = ["\ufeff"]
+    for i, line in enumerate(lines):
+        fields = [f"{pads[i % 4]}{f}{pads[(i + k) % 4]}" for k, f in enumerate(line.split(","))]
+        rows.append(",".join(fields) + "\r\n")
+        if i % 7 == 0:
+            rows.append("\r\n" if i % 2 else " \t \r\n")
+        if comments and i % 5 == 0:
+            rows.append(f"{pads[i % 4]}# a comment, with, commas\r\n")
+    return "".join(rows).encode("utf-8")
+
+
+class TestNonBareFiles:
+    def test_padded_files_give_the_same_bytes(self, synth_dir, tmp_path):
+        """Padding, tabs, CRLF line ends, blank lines, a BOM and comments change no output."""
+        commands = [
+            ["features", "--mode", "multimodal"],
+            ["eval", "--mode", "multimodal"],
+            ["eval", "--mode", "degroot"],
+        ]
+
+        def outputs():
+            written = []
+            for i, argv in enumerate(commands):
+                out = tmp_path / f"out{i}"
+                assert run(argv[0], *synth_args(synth_dir), *argv[1:], "--out", str(out)) == 0
+                written.append(out.read_bytes())
+            return written
+
+        bare = outputs()
+        for name in ("edges.csv", "scores.csv", "labels.csv"):
+            path = synth_dir / name
+            text = path.read_text(encoding="utf-8")
+            assert text.isascii() and " " not in text and "\r" not in text
+            path.write_bytes(spaced(text.splitlines(), comments=name == "edges.csv"))
+        assert outputs() == bare

@@ -365,10 +365,14 @@ class TestRoundTrips:
 
 # "a", "a\x00" and "a\x00\x00" differ only by trailing zero bytes; the
 # 8-, 16-, 64- and 65-byte ids fill one, two and eight 8-byte words exactly
-# and one byte past them
+# and one byte past them; controls, a zero-width space and a byte-order mark
+# are no whitespace, so they stay inside ids
 IDS = ["a", "b", "c", "dd", "ü", "x y", "名前", "a\x00", "a\x00\x00", "abcdefgh", "ü" * 8,
-       "y" * 64, "y" * 63 + "é", "#h"]
-PAD = st.sampled_from(["", " ", "\t", "  "])
+       "y" * 64, "y" * 63 + "é", "\x01", "a\x7f", "\u200bb", "\ufeffc", "#h"]
+# ASCII whitespace is trimmed by byte offsets; a block holding a non-ASCII one
+# is stripped in Python first
+PAD = st.sampled_from(["", " ", "\t", "  ", "\v", "\f", "\x1c", "\x85", "\xa0", "\u2000",
+                       "\u3000"])
 ENDS = st.sampled_from(["\n", "\r\n", "\r"])
 
 
@@ -398,16 +402,20 @@ SCORE_TEXT = st.one_of(
 def score_line(draw, bad: bool):
     u = draw(st.sampled_from(IDS[:-1]))  # "#h" is a plain id in a score file
     score = draw(st.one_of(
-        st.sampled_from(["0", "1", "0.5", " 0.25 ", "1e-3", "0.1234567890123"]), SCORE_TEXT
+        # float() skips leading whitespace but for \x1c-\x1f, which str.strip removes
+        st.sampled_from(["0", "1", "0.5", " 0.25 ", "1e-3", "0.1234567890123", "\v0.5",
+                         "\u30000.5", "\x85 1"]),
+        SCORE_TEXT,
     ))
-    good = [f"{draw(PAD)}{u},p{draw(PAD)},{score}", draw(PAD)]
+    good = [f"{draw(PAD)}{u},p{draw(PAD)},{score}{draw(PAD)}", draw(PAD)]
     broken = [f"{u},p", f"{u},p,0.5,x", " ,p,0.5", f"{u},p,high", f"{u},p,1.5",
-              f"{u},p,-0.0001", f"{u},p,nan", f"{u},p,"]
+              f"{u},p,-0.0001", f"{u},p,nan", f"{u},p,", f"{u},p,\x1c0.5", f"{u},p,0.5\x00"]
     return draw(st.sampled_from(good + broken if bad else good))
 
 
 LABEL_OF = {u: ("0", "1")[i % 2] for i, u in enumerate(IDS)}
-SPELLED = {"0": ["0", "00", "٠", " 0 "], "1": ["1", "+1", "١", "1 "]}  # int() reads them all
+# int() reads them all
+SPELLED = {"0": ["0", "00", "٠", " 0 ", "\f0"], "1": ["1", "+1", "١", "1 ", "\xa01"]}
 
 
 @st.composite
@@ -417,7 +425,7 @@ def label_line(draw, bad: bool):
     good = [f"{draw(PAD)}{u}{draw(PAD)},{label}", draw(PAD)]
     flipped = "1" if LABEL_OF[u] == "0" else "0"
     broken = [u, f"{u},1,x", " ,1", f",{label}", f"{u},2", f"{u},-1", f"{u},x", f"{u},",
-              f"{u},1.0", f"{u},{flipped}"]
+              f"{u},1.0", f"{u},{flipped}", f"{u},\x1f{label}"]
     return draw(st.sampled_from(good + broken if bad else good))
 
 
@@ -606,6 +614,26 @@ class TestBulkParsersMatchOracles:
         assert str(got.value) == str(want.value)
 
 
+def slow_steps(text: str, edges: bool) -> list[str]:
+    """The steps past the bare test that tokenizing ``text`` as one block takes."""
+    taken = []
+    strip, trimmed = ingest._strip_lines, ingest._Block._trimmed.__func__
+
+    def spy_strip(*args):
+        taken.append("strip")
+        return strip(*args)
+
+    def spy_trimmed(cls, *args):
+        taken.append("trim")
+        return trimmed(cls, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ingest, "_strip_lines", spy_strip)
+        mp.setattr(ingest._Block, "_trimmed", classmethod(spy_trimmed))
+        ingest._Block.of(text, 2, edges)
+    return taken
+
+
 class TestBarePath:
     """Whitespace-free blocks: tokenized on byte offsets, one string per distinct id."""
 
@@ -639,15 +667,17 @@ class TestBarePath:
             ("a, b\n", False),
             ("a,b\r\n", False),
             ("a,\u00a0b\n", False),  # no-break space: strip removes it
-            ("\ufeffa,b\n", False),  # a byte-order mark is not printable
+            ("\ufeffa,b\n", True),  # a byte-order mark is no whitespace
             ("a,b\n\nc,d\n", False),  # a blank line
             ("a,b,c\n", False),
             ("a,\n", False),
         ],
     )
     def test_which_blocks_are_bare(self, text, bare):
-        comments = not text.startswith("ü")
-        assert (ingest._BareBlock.of(text, 2, comments) is not None) == bare
+        """Bare blocks are neither stripped nor trimmed; every block parses like the oracle."""
+        edges = not text.startswith("ü")
+        assert (slow_steps(text, edges) == []) == bare
+        (check_edges if edges else check_labels)(text)
 
     def test_non_ascii_digit_score(self):
         for text in ("u,p,١\n", "u,p,٠.٥\nv,q,0.25\n"):
@@ -681,6 +711,56 @@ class TestBarePath:
             check_scores(text.replace("\n", ",0.5\n"))
             check_edges(short)
         assert made and all(used <= 8 * size for used, size in made)
+
+
+class TestWhitespace:
+    def test_tables_hold_what_str_isspace_holds(self):
+        """Every code point: the tokenizer trims it exactly when ``str.isspace`` holds."""
+        everything = "".join(map(chr, range(0x110000)))
+        spaces = {c for c in everything if c.isspace()}
+        ascii_spaces = {chr(b) for b in np.flatnonzero(ingest._IS_SPACE)}
+        wide_spaces = set(ingest._WIDE_SPACE.findall(everything))
+        assert all(c.isascii() for c in ascii_spaces)
+        assert not any(c.isascii() for c in wide_spaces)
+        assert ascii_spaces | {"\n"} | wide_spaces == spaces  # a newline ends the line
+
+    # an ASCII pad leaves the block to the byte trim unless ``c`` is a wide
+    # space; a wide pad makes the whole block take the Python strip
+    @pytest.mark.parametrize("pad", ["\x1c", "\u3000"])
+    def test_every_space_around_every_field(self, pad):
+        """Each whitespace character, doubled too, and some that are none, around each field."""
+        spaces = [c for c in map(chr, range(0x3001)) if c.isspace()]
+        for c in spaces + [c * 2 for c in spaces] + ["\x00", "\x7f", "\u200b", "\ufeff", "#"]:
+            check_edges(f"{c}a{c},{c}b{c}\n{pad}c,d{c}\n")
+            check_scores(f"{c}a{c},{c}p{c},{c}0.5{c}\n{pad}b,q,{c}1\n")
+            check_labels(f"{c}a{c},{c}1{c}\n{pad}b,{pad}0{c}\n")
+
+    @pytest.mark.parametrize(
+        "text, stripped",
+        [
+            ("a,b\nc,d\n", False),
+            ("a, b\n", False),
+            ("\ta\v,\fb\x1c\n", False),
+            ("a,b\r\n", False),
+            ("a,b\n\nc,d\n", False),
+            (" # a, b\nc,d\n", False),
+            ("a,b,c\n", False),
+            ("a, \n", False),
+            ("a\x00,\x7fb\n\x01c,d\n", False),
+            ("a\u200b, \ufeffb\n", False),
+            ("a,\u00a0b\n", True),
+            ("a\x85,b\n", True),
+            ("a,b\u3000\n", True),
+            ("a\u2028b,c\n", True),  # inside an id, but the block is stripped all the same
+        ],
+    )
+    def test_which_blocks_take_the_python_strip(self, text, stripped):
+        """Only non-ASCII whitespace makes a block take it; every block parses like the oracle."""
+        assert ("strip" in slow_steps(text, True)) == stripped
+        check_edges(text)
+
+    def test_lone_surrogates_stay_in_ids(self):
+        assert read_edges("\ud800,b\n \udfff ,\ud800\n").ids == ["\ud800", "b", "\udfff"]
 
 
 # Python pairs may hold ids no file line can: newlines and commas
@@ -800,3 +880,60 @@ class TestWritersMatchOracles:
             buf = io.StringIO()
             write(item, buf)
             assert buf.getvalue() == naive(item)
+
+
+# ids a writer must refuse: padded, holding a line end or comma, empty, or
+# (as an edge source) starting with '#'
+WRITE_IDS = PAIR_IDS + [" a", "a\t", "\u3000a", "a\x85", "a\rb", "", "#c", "d#"]
+
+
+def readable(u: str) -> bool:
+    return bool(u) and u == u.strip() and not any(c in u for c in ",\n\r")
+
+
+class TestWritersReadBack:
+    """Each writer writes files the parsers read back as they were, or refuses."""
+
+    @given(pairs=st.lists(st.tuples(*[st.sampled_from(WRITE_IDS)] * 2), min_size=1, max_size=12))
+    def test_edges(self, pairs):
+        try:
+            graph = build_graph(pairs)
+        except InputError:
+            return
+        buf = io.StringIO()
+        ok = all(readable(u) and readable(v) and u[0] != "#" for u, v in edge_pairs(graph))
+        if not ok:
+            with pytest.raises(InputError, match="cannot write id"):
+                write_edges(graph, buf)
+            return
+        write_edges(graph, buf)
+        assert edge_pairs(read_edges(buf.getvalue())) == edge_pairs(graph)
+
+    @given(users=st.lists(st.sampled_from(WRITE_IDS), min_size=1, max_size=8, unique=True))
+    def test_scores_and_labels(self, users):
+        table = ScoreTable.from_mapping({u: [0.25] * (i % 3) for i, u in enumerate(users)})
+        posters = [u for i, u in enumerate(users) if i % 3]
+        buf = io.StringIO()
+        if all(map(readable, posters)):
+            write_scores(table, buf)
+            assert list(score_dict(parse_scores(buf.getvalue()))) == posters
+        else:
+            with pytest.raises(InputError, match="cannot write id"):
+                write_scores(table, buf)
+        graph = SocialGraph(users + ["zz" * 9], np.array([len(users)] * len(users)),
+                            np.arange(len(users)))
+        labels = label_table({u: i % 2 for i, u in enumerate(users)})
+        ds = bind_dataset(graph, table, labels, BindPolicy(allow_zero_post_users=True))
+        buf = io.StringIO()
+        if all(map(readable, users)):
+            write_labels(ds, buf)
+            assert label_dict(parse_labels(buf.getvalue())) == label_dict(labels)
+        else:
+            with pytest.raises(InputError, match="cannot write id"):
+                write_labels(ds, buf)
+
+    def test_message_names_the_id(self):
+        with pytest.raises(InputError) as exc:
+            write_edges(build_graph([("a", "b"), ("#c", "a")]), io.StringIO())
+        assert str(exc.value) == "cannot write id '#c': it would not read back as itself"
+        write_edges(build_graph([("a", "#c")]), io.StringIO())  # a '#' target is no comment

@@ -635,3 +635,9 @@ class TestThresholdSweep:
         ds = self.make_counted()
         with pytest.raises(InputError):
             threshold_sweep(ds, [0, 1])
+
+    @pytest.mark.parametrize("tau_t", [float("nan"), 7.0, -0.5])
+    def test_tau_t_outside_the_unit_interval_rejected(self, tau_t):
+        with pytest.raises(InputError) as exc:
+            threshold_sweep(self.make_counted(), [1, 3], tau_t=tau_t)
+        assert str(exc.value) == f"tau_t must be in [0, 1], got {tau_t}"
