@@ -636,6 +636,36 @@ def component_stats(g: SocialGraph) -> ComponentCounts:
     return ComponentCounts(n_comp, int(np.count_nonzero(deg == 0)))
 
 
+# Fibonacci hashing (Knuth, TAOCP vol. 3, 6.4): the top bits of rank * 2^32/phi
+_SIGNATURE_HASH = np.uint32(0x9E3779B9)
+_SIGNATURE_BYTES = 16  # 128 bits a node
+
+
+def _signature_bit(ranks: np.ndarray) -> np.ndarray:
+    """The signature bit, 0-127, that stands for each int32 rank."""
+    bit = ranks.view(np.uint32) * _SIGNATURE_HASH  # wraps mod 2^32
+    bit >>= 25  # the top 7 bits
+    return bit
+
+
+def _signatures(rows: np.ndarray, cols: np.ndarray, n: int, block: int) -> np.ndarray:
+    """Each row's 128-bit signature of its columns, as 16 bytes a row.
+
+    Bit ``_signature_bit(c)`` of row r is set for each link r -> c, so a
+    clear bit proves the link absent. Bit k sits in byte 16 r + k // 8 at
+    place k % 8. Links are hashed ``block`` at a time; ``rows`` ascend.
+    """
+    words = _SIGNATURE_BYTES // 8
+    sig = np.zeros((n, words), dtype=np.uint64)
+    for s in range(0, len(rows), block):
+        r, bit = rows[s : s + block], _signature_bit(cols[s : s + block])
+        runs = np.flatnonzero(np.diff(r, prepend=-1))  # a row's first link in the block
+        word, place = bit >> 6, np.left_shift(np.uint64(1), bit & 63, dtype=np.uint64)
+        for w in range(words):
+            sig[r.take(runs), w] |= np.bitwise_or.reduceat(np.where(word == w, place, 0), runs)
+    return sig.astype("<u8", copy=False).view(np.uint8).reshape(-1)
+
+
 def _triangle_counts(indptr: np.ndarray, indices: np.ndarray, chunk: int) -> np.ndarray:
     """Triangles through each node of an undirected simple graph in CSR form.
 
@@ -645,6 +675,12 @@ def _triangle_counts(indptr: np.ndarray, indices: np.ndarray, chunk: int) -> np.
     wedge (a pair of that corner's out-neighbors) whose closing link exists.
     Wedges are made and tested at most ``chunk`` at a time, so memory stays
     bounded, and a hub ranks last, so its many links open no wedges.
+
+    Each node's 128-bit signature of its out-neighbors is a one-hash Bloom
+    filter (Bloom 1970) in front of the exact search: a wedge whose closing
+    link near -> far finds ``far``'s bit clear in ``near``'s signature
+    cannot close, and is dropped. A set bit may be a collision, so the
+    survivors are still looked up among the links, and the counts are exact.
     """
     n = len(indptr) - 1
     deg = np.diff(indptr)
@@ -666,6 +702,7 @@ def _triangle_counts(indptr: np.ndarray, indices: np.ndarray, chunk: int) -> np.
     np.cumsum(later, out=bounds[1:])
     del later
     total = int(bounds[-1])
+    sig = _signatures(rows, cols, n, chunk)
 
     tri = np.zeros(n, dtype=np.int64)
     found: list[np.ndarray] = []  # corners not yet counted
@@ -677,20 +714,32 @@ def _triangle_counts(indptr: np.ndarray, indices: np.ndarray, chunk: int) -> np.
         starts = bounds[p0:p1]  # the first wedge of each link in the block
         take = np.minimum(bounds[p0 + 1 : p1 + 1], w1) - np.maximum(starts, w0)
         pos = np.arange(p0, p1)
-        first = np.repeat(pos, take)
+        # each wedge pairs a link of pos with a later link, second, of its row;
+        # its closing link runs near -> far (a row's columns ascend)
+        near = np.repeat(cols[p0:p1], take)
         second = np.arange(w0, w1) - np.repeat(starts - pos - 1, take)
-        closing = cols.take(first).astype(np.int64)
+        far = cols.take(second)
+        # keep the wedges whose far bit is set in near's signature
+        bit = _signature_bit(far)
+        byte = near.astype(np.int64)
+        byte *= _SIGNATURE_BYTES
+        byte += bit >> 3
+        probe = sig.take(byte)
+        probe >>= (bit & 7).astype(np.uint8)
+        probe &= 1
+        keep = np.flatnonzero(probe)
+        second, near, far = second.take(keep), near.take(keep), far.take(keep)
+        closing = near.astype(np.int64)
         closing *= n
-        closing += cols.take(second)  # a row's columns ascend, so this is a link key
+        closing += far  # a link key
         # sorted needles walk the links in order: a far more cache-friendly search
         order = np.argsort(closing)
         closing = closing.take(order)
         at = np.searchsorted(links, closing)
         np.minimum(at, len(links) - 1, out=at)
         hit = order[links.take(at) == closing]
-        first, second = first.take(hit), second.take(hit)
-        found += [rows.take(first), cols.take(first), cols.take(second)]
-        pending += 3 * len(first)
+        found += [rows.take(second.take(hit)), near.take(hit), far.take(hit)]
+        pending += 3 * len(hit)
         if pending >= n:  # one bincount per n corners keeps tiny blocks linear
             tri += np.bincount(np.concatenate(found), minlength=n)
             found, pending = [], 0
@@ -705,7 +754,9 @@ def clustering_coefficient(g: SocialGraph, chunk: int = 1 << 19) -> float:
     Each node contributes (links among its neighbors) / (possible links);
     nodes with degree < 2 contribute 0. Triangles come from forward counting
     on a degree order, ``chunk`` wedges per block, so memory stays bounded on
-    large graphs.
+    large graphs. Each node's signature of its out-neighbors drops most open
+    wedges before the exact link lookup; a clear bit proves a link absent, so
+    the counts, and the coefficient, are exact.
     """
     if g.node_count == 0:
         raise InputError("empty graph has no clustering coefficient")

@@ -547,11 +547,14 @@ def bind_dataset(
 def _check_ids(ids: Iterable[str], source: bool = False) -> None:
     """InputError on the first id the parsers would not read back as itself.
 
-    It is empty, holds a comma or line end, has whitespace at an end, or
-    (``source``: the first field of an edge line) starts with ``#``.
+    It is empty, holds a comma or line end, has whitespace at an end, starts
+    with a byte-order mark (the command line reads files as ``utf-8-sig``,
+    which drops U+FEFF from the file's first id), or (``source``: the first
+    field of an edge line) starts with ``#``.
     """
     for u in ids:
-        bad = not u or u[0].isspace() or u[-1].isspace() or "," in u or "\n" in u or "\r" in u
+        bad = not u or u[0].isspace() or u[-1].isspace() or u[0] == "\ufeff"
+        bad = bad or "," in u or "\n" in u or "\r" in u
         if bad or (source and u[0] == "#"):
             raise InputError(f"cannot write id {u!r}: it would not read back as itself")
 

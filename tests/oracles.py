@@ -439,6 +439,21 @@ def union_find_component_count(n: int, edges: list[tuple[int, int]]) -> int:
     return len({find(i) for i in range(n)})
 
 
+def brute_triangles(n: int, edges: list[tuple[int, int]]) -> list[int]:
+    """Triangles through each node of the undirected simple view, by neighbor pairs."""
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for a, b in undirected_pairs(edges):
+        adj[a].add(b)
+        adj[b].add(a)
+    counts = []
+    for u in range(n):
+        nb = sorted(adj[u])
+        counts.append(
+            sum(nb[y] in adj[nb[x]] for x in range(len(nb)) for y in range(x + 1, len(nb)))
+        )
+    return counts
+
+
 def brute_clustering(n: int, edges: list[tuple[int, int]]) -> float:
     adj: list[set[int]] = [set() for _ in range(n)]
     for a, b in undirected_pairs(edges):

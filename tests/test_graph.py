@@ -27,6 +27,7 @@ from hateagg import (
 import hateagg.graph as graph_module
 from oracles import (
     brute_clustering,
+    brute_triangles,
     codes_of,
     edge_pairs,
     gather_in_sums,
@@ -58,15 +59,15 @@ def index_graph(n, src, dst):
 
 
 @st.composite
-def mixed_graphs(draw):
+def mixed_graphs(draw, max_nodes=40, max_pairs=100):
     """Random directed graphs plus a star, a clique, reciprocal and parallel edges.
 
     Self-loops are dropped; nodes the draws leave out are isolated, and a
     star's leaves are often degree-1 nodes.
     """
-    n = draw(st.integers(1, 40))
+    n = draw(st.integers(1, max_nodes))
     node = st.integers(0, n - 1)
-    pairs = draw(st.lists(st.tuples(node, node), max_size=100))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=max_pairs))
     if pairs:
         again = st.lists(st.sampled_from(pairs), max_size=20)
         pairs += draw(again)  # parallel edges
@@ -80,6 +81,57 @@ def mixed_graphs(draw):
     src = np.array([a for a, _ in pairs], dtype=np.int64)
     dst = np.array([b for _, b in pairs], dtype=np.int64)
     return index_graph(n, src, dst)
+
+
+@st.composite
+def colliding_cycles(draw):
+    """Disjoint cycles, so every node has degree 2 and its rank is its index.
+
+    The first cycle runs 0, 1, y, ..., x, where x and y share a signature
+    bit: corner 0's wedge (1, x) finds x's bit set in node 1's signature,
+    through the link 1 -> y, though 1 and x are not linked.
+    """
+    bits = graph_module._signature_bit(np.arange(200, dtype=np.int32)).tolist()
+    groups: dict[int, list[int]] = {}
+    for v in range(2, 200):
+        groups.setdefault(bits[v], []).append(v)
+    shared = [g for g in groups.values() if len(g) > 1]
+    x, y = draw(st.permutations(draw(st.sampled_from(shared))))[:2]
+    n = draw(st.integers(max(x, y) + 1, 200))
+    rest = draw(st.permutations([v for v in range(2, n) if v not in (x, y)]))
+    k = draw(st.integers(0, len(rest)))
+    cycles, rest = [[0, 1, y, *rest[:k], x]], rest[k:]
+    while len(rest) >= 3:
+        m = draw(st.integers(3, len(rest)))
+        cycles.append(rest[:m])
+        rest = rest[m:]
+    cycles[0][-1:-1] = rest  # too few left for a cycle of their own
+    pairs = [(c[i - 1], c[i]) for c in cycles for i in range(len(c))]
+    flips = draw(st.lists(st.sampled_from(["fwd", "back", "both"]),
+                          min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for (a, b), f in zip(pairs, flips)
+             for e in ([(a, b)] if f == "fwd" else [(b, a)] if f == "back" else [(a, b), (b, a)])]
+    return n, edges
+
+
+def triangle_counts(g, chunk):
+    return graph_module._triangle_counts(*g.csr("undirected"), chunk).tolist()
+
+
+def int_edges(g):
+    src, dst = g.edge_arrays()
+    return list(zip(src.tolist(), dst.tolist()))
+
+
+def forward_wedges(g):
+    """Wedges the forward count makes: pairs of links to higher (degree, index) ranks."""
+    indptr, indices = g.csr("undirected")
+    deg = np.diff(indptr).tolist()
+    total = 0
+    for u in range(g.node_count):
+        up = sum((deg[v], v) > (deg[u], u) for v in indices[indptr[u] : indptr[u + 1]].tolist())
+        total += up * (up - 1) // 2
+    return total
 
 
 def smallest_member(labels):
@@ -394,6 +446,36 @@ class TestClustering:
         n = int(rng.integers(1, 25))
         g = graph_from_int_edges(n, random_edges(rng, n, 0.2))
         assert 0.0 <= clustering_coefficient(g) <= 1.0
+
+
+class TestTriangleCounts:
+    """Per-node triangles of ``_triangle_counts`` against neighbor-pair enumeration."""
+
+    @given(mixed_graphs(max_nodes=14, max_pairs=24))
+    def test_every_chunk_equals_brute_force(self, g):
+        want = brute_triangles(g.node_count, int_edges(g))
+        for chunk in range(1, forward_wedges(g) + 2):
+            assert triangle_counts(g, chunk) == want
+
+    @given(colliding_cycles())
+    def test_signature_collisions_reach_the_exact_search(self, graph):
+        n, edges = graph
+        g = index_graph(n, [a for a, _ in edges], [b for _, b in edges])
+        assert np.all(g.undirected_degrees() == 2)  # ranks are node indices
+        want = brute_triangles(n, edges)
+        assert want[0] == 0  # the wedge (1, x) at node 0 is open
+        for chunk in (1, 5, 1 << 19):
+            assert triangle_counts(g, chunk) == want
+
+    def test_clique_with_full_signatures(self):
+        # a clique's nodes share one degree, so ranks are node indices; node
+        # 0's links reach ranks 1..k-1, which hash to every signature bit
+        bits = graph_module._signature_bit(np.arange(1, 1000, dtype=np.int32)).tolist()
+        k = next(i for i in range(1, 1000) if len(set(bits[:i])) == 128) + 1
+        src, dst = np.triu_indices(k, 1)
+        g = index_graph(k, src, dst)
+        for chunk in (4099, 1 << 19):
+            assert triangle_counts(g, chunk) == [math.comb(k - 1, 2)] * k
 
 
 class TestPowerlawGamma:
