@@ -64,6 +64,26 @@ def _packed_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
     return key[keep]
 
 
+def _stable_order(key: np.ndarray) -> np.ndarray:
+    """``np.argsort(key, kind="stable")`` of non-negative integer keys.
+
+    The packed keys ``key * n + position`` are distinct and sort as the
+    (key, position) pairs do, so one in-place sort of them, taken modulo
+    ``n``, is the stable order. That sort is many times faster than numpy's
+    stable argsort of int64 (a timsort). Keys whose packed form could reach
+    2**63 take the stable argsort instead.
+    """
+    n = len(key)
+    if n == 0 or int(key.max()) * n + n >= 1 << 63:
+        return np.argsort(key, kind="stable")
+    packed = key.astype(np.int64)
+    packed *= n
+    packed += np.arange(n)
+    packed.sort()
+    packed %= n
+    return packed
+
+
 def _csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of the distinct (src, dst) pairs, rows and columns sorted."""
     rows, cols = np.divmod(_packed_keys(src, dst, n), n)
@@ -375,7 +395,7 @@ def _step_layout(indptr: np.ndarray, indices: np.ndarray) -> StepLayout:
     n = len(deg)
     # active[j]: rows with more than j entries; it ends at 0 for the longest row
     active = n - np.cumsum(np.bincount(deg, minlength=1))
-    perm = np.argsort(-deg, kind="stable")
+    perm = _stable_order(deg.max(initial=0) - deg)  # by descending degree
     inv = np.empty(n, dtype=np.intp)
     inv[perm] = np.arange(n)
     cols = int(np.count_nonzero(active >= _MIN_COLUMN_ROWS))
@@ -390,7 +410,7 @@ def _step_layout(indptr: np.ndarray, indices: np.ndarray) -> StepLayout:
     long_deg = deg[perm[:long]]
     long_rows = np.repeat(np.arange(long, dtype=np.intp), long_deg)
     column = np.arange(len(long_rows)) - (np.cumsum(long_deg) - long_deg)[long_rows]
-    order = np.argsort(column, kind="stable")
+    order = _stable_order(column)
     long_rows, column = long_rows[order], column[order]
     parts.append(targets.take(starts[long_rows] + column))
     gather = np.concatenate(parts)
@@ -685,7 +705,7 @@ def _triangle_counts(indptr: np.ndarray, indices: np.ndarray, chunk: int) -> np.
     n = len(indptr) - 1
     deg = np.diff(indptr)
     rank = np.empty(n, dtype=np.int32)
-    rank[np.argsort(deg, kind="stable")] = np.arange(n, dtype=np.int32)
+    rank[_stable_order(deg)] = np.arange(n, dtype=np.int32)
     head, tail = np.repeat(rank, deg), rank.take(indices)
     fwd = head < tail
     head, tail = head[fwd], tail[fwd]

@@ -35,7 +35,15 @@ from typing import IO, Iterable, Iterator, Mapping, NoReturn
 import numpy as np
 
 from .errors import InputError
-from .graph import EdgeList, KeyTable, SocialGraph, _strings, extend_ids, largest_wcc
+from .graph import (
+    EdgeList,
+    KeyTable,
+    SocialGraph,
+    _stable_order,
+    _strings,
+    extend_ids,
+    largest_wcc,
+)
 from .serialize import write_rows
 
 __all__ = [
@@ -315,8 +323,8 @@ def parse_scores(stream: IO[str] | str) -> ScoreTable:
         codes.append(code)
         values.append(value)
     code = np.concatenate([np.zeros(0, dtype=np.int64), *codes])
-    # group rows by user; the stable sort keeps file order within each user
-    order = np.argsort(code, kind="stable")
+    # group rows by user in file order: a stable sort of the user codes
+    order = _stable_order(code)
     offsets = np.zeros(len(keys) + 1, dtype=np.int64)
     np.cumsum(np.bincount(code, minlength=len(keys)), out=offsets[1:])
     return ScoreTable(keys, offsets, np.concatenate([np.zeros(0), *values])[order])

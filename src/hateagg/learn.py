@@ -249,7 +249,9 @@ def stratified_kfold(
         raise InputError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     folds: list[list[np.ndarray]] = [[] for _ in range(k)]
-    for cls in np.unique(y):
+    # the classes in ascending order; np.unique would import numpy.ma to get them
+    ranked = np.sort(y)
+    for cls in ranked[np.append(True, ranked[1:] != ranked[:-1])]:
         idx = np.flatnonzero(y == cls)
         perm = rng.permutation(idx)
         for i in range(k):

@@ -93,21 +93,53 @@ def dump_json(obj: Any) -> str:
     return render_json(obj) + "\n"
 
 
-def _rendered(block: np.ndarray) -> np.ndarray:
-    """Object array of the cells of ``block`` as :func:`fmt_float` renders them.
+# Fibonacci hashing (Knuth, TAOCP vol. 3, 6.4): a value's slot is the top
+# bits of value * 2**64 / golden ratio, in a table of 2**_SLOT_BITS slots.
+# Past 2**(_SLOT_BITS / 2) values two likely share a slot (the birthday
+# bound), so no table is tried.
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)
+_SLOT_BITS = 20
 
-    Each distinct double is rendered once, then gathered per cell. Doubles
-    are told apart by bit pattern, so ``0.0`` and ``-0.0`` stay apart.
+
+def _value_index(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(sorted distinct values of the uint64 array ``bits``, index of each element's value).
+
+    A block of a feature table repeats a few hundred values over tens of
+    thousands of cells. When the distinct values hash to distinct slots, one
+    gather through a slot table indexes every cell, and exactly: each cell
+    holds one of those values. Otherwise ``np.unique`` sorts the cells.
+    """
+    ranked = np.sort(bits)
+    head = np.empty(len(ranked), dtype=bool)
+    head[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    distinct = ranked[head]
+    if len(distinct) <= 1 << _SLOT_BITS // 2:
+        shift = np.uint64(64 - _SLOT_BITS)
+        slot = (distinct * _FIBONACCI) >> shift
+        slot_order = np.sort(slot)
+        if np.all(slot_order[1:] != slot_order[:-1]):
+            table = np.empty(1 << _SLOT_BITS, dtype=np.intp)
+            table[slot] = np.arange(len(distinct))
+            return distinct, table[(bits * _FIBONACCI) >> shift]
+    return distinct, np.unique(bits, return_inverse=True)[1]
+
+
+def _rendered(block: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """(texts, index): :func:`fmt_float` of each distinct double of ``block``,
+    and the index of each cell's text among them, in the block's shape.
+
+    Each distinct double is rendered once. Doubles are told apart by bit
+    pattern, so ``0.0`` and ``-0.0`` stay apart.
     """
     block = np.ascontiguousarray(block, dtype=np.float64)
-    bits, inverse = np.unique(block.view(np.uint64), return_inverse=True)
+    bits, index = _value_index(block.view(np.uint64).ravel())
     distinct = bits.view(np.float64)
     text = list(map("%.17g".__mod__, distinct.tolist()))
     # %.17g spells the specials nan/inf; take fmt_float's spelling
     for i in np.flatnonzero(~np.isfinite(distinct)).tolist():
         text[i] = fmt_float(distinct[i])
-    # numpy 1.x returns the inverse flat, 2.x in the input's shape
-    return np.array(text, dtype=object)[inverse.reshape(block.shape)]
+    return text, index.reshape(block.shape)
 
 
 def write_rows(
@@ -123,20 +155,38 @@ def write_rows(
     ``(n_rows, k)`` array whose cells are rendered as by :func:`fmt_float`,
     each after a comma. Every row ends in a newline, so a row reads
     ``key_fmt % key_cells`` followed by ``"," + fmt_float(v)`` per value.
+    A row's keys must not render a line break.
 
-    A block's rows are one format call over its cells, and each distinct
-    double of a block is rendered once: feature tables built from counts
-    repeat a few hundred values over thousands of rows.
+    A block's key cells go through one format call, one line per row,
+    together with the value when a row holds one. Wider rows are put
+    together by one join over the block instead: each line's keys, its value
+    texts and a newline, so no format call spends a field on a value. Each
+    distinct double of a block is rendered once: feature tables built from
+    counts repeat a few hundred values over thousands of rows.
     """
     n_rows = len(keys[0])
     n_keys = len(keys)
     k = 0 if values is None else values.shape[1]
-    row_fmt = key_fmt + ",%s" * k + "\n"
+    row_fmt = key_fmt + ",%s" * (k == 1) + "\n"
     for start in range(0, n_rows, _BLOCK_ROWS):
         stop = min(start + _BLOCK_ROWS, n_rows)
-        cells = np.empty((stop - start, n_keys + k), dtype=object)
+        cells = np.empty((stop - start, n_keys + (k == 1)), dtype=object)
         for j, col in enumerate(keys):
             cells[:, j] = col[start:stop]
         if k:
-            cells[:, n_keys:] = _rendered(values[start:stop])
-        stream.write(row_fmt * (stop - start) % tuple(cells.ravel().tolist()))
+            text, index = _rendered(values[start:stop])
+        if k == 1:
+            cells[:, n_keys] = np.array(text, dtype=object)[index[:, 0]]
+        lines = row_fmt * (stop - start) % tuple(cells.ravel().tolist())
+        if k > 1:
+            heads = lines.split("\n")[:-1]
+            if len(heads) != stop - start:
+                raise ValueError(f"a row's keys render a line break under {key_fmt!r}")
+            # one gather from [value texts, newline, line heads] lays out the block
+            pool = np.array(["," + t for t in text] + ["\n", *heads], dtype=object)
+            at = np.empty((stop - start, k + 2), dtype=np.intp)
+            at[:, 0] = np.arange(len(text) + 1, len(pool))
+            at[:, 1:-1] = index
+            at[:, -1] = len(text)
+            lines = "".join(pool.take(at.ravel()).tolist())
+        stream.write(lines)

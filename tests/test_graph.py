@@ -707,6 +707,44 @@ class TestPackedKeys:
         assert np.array_equal(self.keys_of(keys), sort_then_dedup(keys))
 
 
+class TestStableOrder:
+    """``_stable_order`` is numpy's stable argsort, below the overflow guard and past it."""
+
+    def check(self, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        got = graph_module._stable_order(keys)
+        assert np.array_equal(got, np.argsort(keys, kind="stable"))
+
+    @given(st.lists(st.integers(0, 30), max_size=80))
+    def test_small_keys(self, keys):
+        self.check(keys)
+
+    @given(st.lists(st.one_of(st.integers(0, 5), st.integers(0, 2**63 - 1)), max_size=40))
+    def test_any_keys(self, keys):
+        self.check(keys)
+
+    @pytest.mark.parametrize("keys", [[], [0], [9], [4] * 7, [0] * 5, [3, 1, 2, 1, 3]])
+    def test_edge_cases(self, keys):
+        self.check(keys)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 1000])
+    def test_keys_at_and_past_the_overflow_guard(self, n):
+        # the largest key whose packed form key * n + n stays below 2**63, and one past it
+        at = (2**63 - 1) // n - 1
+        assert at * n + n < 2**63 <= (at + 1) * n + n
+        rng = np.random.default_rng(n)
+        for top in (at, at + 1):
+            keys = rng.choice(np.array([0, 1, top - 1, top], dtype=np.int64), size=n)
+            keys[rng.integers(n)] = top
+            self.check(keys)
+
+    def test_degree_orders(self):
+        # the degree orders of _step_layout and _triangle_counts: many ties
+        deg = np.random.default_rng(5).poisson(3.0, 5000)
+        self.check(deg)
+        self.check(deg.max() - deg)
+
+
 class TestBindExtension:
     def test_appended_scored_users_keep_the_views(self):
         g = build_graph([("b", "a"), ("c", "a"), ("a", "d"), ("d", "b"), ("b", "a")])

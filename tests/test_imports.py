@@ -1,14 +1,16 @@
-"""No command imports scipy.
+"""No command imports scipy or numpy.ma.
 
 The library is numpy only: the graph kernels, the diffusion and the logistic
 sigmoid (``hateagg.learn.expit``) are numpy, so scipy is a test-only
-reference, not a runtime dependency.
+reference, not a runtime dependency. ``numpy.ma`` is no dependency either,
+but ``np.unique`` with no optional output imports it (numpy 2.4 asks
+``np.ma.is_masked``), so a stray call costs every command that makes it.
 
 Every CLI call is a fresh process, so a module-level scipy import would be
 paid on every command. These tests run each command in a fresh interpreter
-and read which ``scipy`` modules it left in ``sys.modules``. A second probe
-makes ``import scipy`` fail in that interpreter and checks that the
-commands that fit a model still run.
+and read which ``scipy`` and ``numpy.ma`` modules it left in
+``sys.modules``. A second probe makes ``import scipy`` fail in that
+interpreter and checks that the commands that fit a model still run.
 """
 
 from __future__ import annotations
@@ -35,13 +37,18 @@ argv = json.loads(sys.argv[1])
 code = main(argv) if argv else 0
 print(json.dumps({
     "code": code,
-    "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+    "loaded": sorted(
+        m for m in sys.modules if m.split(".")[0] == "scipy" or (m + ".").startswith("numpy.ma.")
+    ),
 }))
 """
 
 
 def probe(argv: list[str], mode: str) -> dict:
-    """Run ``hateagg`` with ``argv`` in a fresh interpreter; its exit code and scipy modules."""
+    """Run ``hateagg`` with ``argv`` in a fresh interpreter; its exit code and loaded modules.
+
+    ``loaded`` lists the ``scipy`` and ``numpy.ma`` modules the run left in ``sys.modules``.
+    """
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
@@ -57,8 +64,8 @@ def probe(argv: list[str], mode: str) -> dict:
     return result
 
 
-def scipy_modules(*argv: str) -> set[str]:
-    return set(probe(list(argv), "plain")["scipy"])
+def loaded_modules(*argv: str) -> set[str]:
+    return set(probe(list(argv), "plain")["loaded"])
 
 
 SYNTH = [
@@ -81,7 +88,7 @@ def inputs(tmp_path_factory):
 
 
 def test_importing_the_cli_loads_no_scipy():
-    assert scipy_modules() == set()
+    assert loaded_modules() == set()
 
 
 @pytest.mark.parametrize(
@@ -96,11 +103,11 @@ def test_importing_the_cli_loads_no_scipy():
 )
 def test_commands_without_scipy_kernels_load_none(inputs, command):
     out, flags = inputs
-    assert scipy_modules(*command, *flags, "--out", str(out / "o")) == set()
+    assert loaded_modules(*command, *flags, "--out", str(out / "o")) == set()
 
 
 def test_synth_loads_no_scipy(tmp_path):
-    assert scipy_modules(*SYNTH, "--out-dir", str(tmp_path)) == set()
+    assert loaded_modules(*SYNTH, "--out-dir", str(tmp_path)) == set()
 
 
 LOGISTIC = pytest.mark.parametrize(
@@ -111,7 +118,7 @@ LOGISTIC = pytest.mark.parametrize(
 @LOGISTIC
 def test_logistic_commands_load_no_scipy(inputs, command):
     out, flags = inputs
-    assert scipy_modules(*command, *flags, "--out", str(out / "o")) == set()
+    assert loaded_modules(*command, *flags, "--out", str(out / "o")) == set()
 
 
 @LOGISTIC
@@ -133,4 +140,4 @@ def test_graph_kernel_commands_load_no_scipy(inputs, command):
     # components and clustering are numpy kernels; stats reads edges only
     out, flags = inputs
     flags = flags[:2] if command == ["stats"] else flags
-    assert scipy_modules(*command, *flags, "--out", str(out / "o")) == set()
+    assert loaded_modules(*command, *flags, "--out", str(out / "o")) == set()

@@ -157,6 +157,50 @@ def csv_line_rows(keys, values) -> str:
     return "".join(csv_line([key, *row]) + "\n" for key, row in zip(keys, values.tolist()))
 
 
+def slots(bits):
+    return (bits * serialize._FIBONACCI) >> np.uint64(64 - serialize._SLOT_BITS)
+
+
+def colliding_doubles():
+    """Two doubles whose bit patterns share a slot of the writer's hash table."""
+    bits = np.random.default_rng(2).random(20_000).view(np.uint64)
+    order = np.argsort(slots(bits), kind="stable")
+    ranked = slots(bits)[order]
+    i = int(np.flatnonzero(ranked[1:] == ranked[:-1])[0])
+    return bits[order[i]], bits[order[i + 1]]
+
+
+class TestValueIndex:
+    """``_value_index`` is ``np.unique(..., return_inverse=True)``, through the slot table or not."""
+
+    def check(self, bits):
+        bits = np.asarray(bits, dtype=np.uint64)
+        distinct, index = serialize._value_index(bits)
+        want_distinct, want_index = np.unique(bits, return_inverse=True)
+        assert np.array_equal(distinct, want_distinct)
+        assert np.array_equal(index, want_index.ravel())
+
+    @given(st.lists(POOL_CELLS, min_size=1, max_size=200))
+    def test_repeated_values(self, cells):
+        self.check(np.array(cells).view(np.uint64))
+
+    def test_values_that_share_a_slot(self):
+        a, b = colliding_doubles()
+        assert a != b and slots(np.array([a, b]))[0] == slots(np.array([a, b]))[1]
+        rng = np.random.default_rng(4)
+        self.check(rng.choice(np.array([a, b, 7, 1 << 62], dtype=np.uint64), size=5000))
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 3000])
+    def test_distinct_counts_around_the_table_bound(self, extra):
+        n = (1 << serialize._SLOT_BITS // 2) + extra
+        values = np.random.default_rng(n).random(n).view(np.uint64)
+        self.check(np.concatenate([values, values[::-1], values[:7]]))
+
+    def test_one_value(self):
+        self.check([5] * 10)
+        self.check([5])
+
+
 class TestWriteRows:
     @given(
         data=st.data(),
@@ -228,6 +272,69 @@ class TestWriteRows:
         write_rows(buf, [keys], values)
         assert buf.getvalue() == csv_line_rows(keys.tolist(), values)
         assert buf.getvalue().count("\n") == n_rows
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_every_value_of_a_block_distinct(self, k):
+        n_rows = serialize._BLOCK_ROWS + 9
+        values = np.random.default_rng(k).standard_normal((n_rows, k))
+        block = values[: serialize._BLOCK_ROWS]
+        assert len(np.unique(block.view(np.uint64))) == block.size
+        keys = [[f"u{i}" for i in range(n_rows)]]
+        buf = io.StringIO()
+        write_rows(buf, keys, values)
+        assert buf.getvalue() == naive_write_rows(keys, values)
+
+    @pytest.mark.parametrize("value", [0.25, -0.0, math.nan, -math.inf])
+    @pytest.mark.parametrize("k", [1, 23])
+    def test_one_distinct_value_in_a_block(self, value, k):
+        n_rows = serialize._BLOCK_ROWS + 2
+        values = np.full((n_rows, k), value)
+        keys = [[f"u{i}" for i in range(n_rows)]]
+        buf = io.StringIO()
+        write_rows(buf, keys, values)
+        assert buf.getvalue() == naive_write_rows(keys, values)
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_nans_of_every_payload_and_sign(self, k):
+        nans = [math.nan, NEG_NAN, PAYLOAD_NAN, -PAYLOAD_NAN]
+        assert len({math.copysign(1.0, v) for v in nans}) == 2
+        bits = np.array(nans).view(np.uint64)
+        assert len(set(bits.tolist())) == 4
+        cells = np.array(nans * 5 + [0.5, -0.0, math.inf, 1.0])
+        values = np.resize(cells, (len(cells) * 2, k))
+        keys = [[f"u{i}" for i in range(len(values))]]
+        buf = io.StringIO()
+        write_rows(buf, keys, values)
+        assert buf.getvalue() == naive_write_rows(keys, values)
+        assert "nan" not in buf.getvalue() and buf.getvalue().count("NaN") == np.isnan(values).sum()
+
+    @pytest.mark.parametrize("k", [0, 1, 4])
+    def test_non_ascii_ids(self, k):
+        ids = ["ü", "日本語", "e\u0301", "\U0001f600x", "a\u00a0b", "\u0394\u0394", "\ud800", "z"]
+        values = np.arange(len(ids) * k, dtype=np.float64).reshape(len(ids), k) / 7.0
+        for keys, key_fmt in (([ids], "%s"), ([ids, ids[::-1]], "%s,%s")):
+            buf = io.StringIO()
+            write_rows(buf, keys, values if k else None, key_fmt=key_fmt)
+            assert buf.getvalue() == naive_write_rows(keys, values, key_fmt)
+            assert [line.split(",")[0] for line in buf.getvalue().splitlines()] == ids
+
+    @pytest.mark.parametrize("delta", [-1, 0, 1])
+    def test_score_rows_around_the_block_size(self, delta):
+        # the synth score writer's format: user, post number, one value
+        n_rows = serialize._BLOCK_ROWS + delta
+        rng = np.random.default_rng(n_rows)
+        users = np.array([f"u{i // 5}" for i in range(n_rows)], dtype=object)
+        posts = np.arange(n_rows) % 5
+        values = rng.random((n_rows, 1))
+        values[::7] = 0.5
+        buf = io.StringIO()
+        write_rows(buf, [users, posts], values, key_fmt="%s,p%d")
+        assert buf.getvalue() == naive_write_rows([users, posts], values, "%s,p%d")
+        assert buf.getvalue().count("\n") == n_rows
+
+    def test_keys_with_a_line_break_are_refused_in_wide_rows(self):
+        with pytest.raises(ValueError, match="line break"):
+            write_rows(io.StringIO(), [["a", "b\nc"]], np.zeros((2, 2)))
 
     def test_key_format_and_no_values(self):
         buf = io.StringIO()
