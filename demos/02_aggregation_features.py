@@ -40,8 +40,9 @@ SCORES = {
 
 def main() -> None:
     table = ScoreTable.from_mapping(SCORES)
+    # fay is in no edge: binding adds every scored user off the graph as an isolated node
     dataset = bind_dataset(
-        build_graph(EDGES, isolated_ids=["fay"]),
+        build_graph(EDGES),
         table,
         policy=BindPolicy(allow_zero_post_users=True),
     )

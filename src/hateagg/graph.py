@@ -156,7 +156,7 @@ def _distinct(key: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     head[1:] = ranked[1:] != ranked[:-1]  # numpy before 2.0 has no string ufuncs
     heads = np.flatnonzero(head)
     run = np.empty(len(order), dtype=np.intp)
-    run[order] = np.cumsum(head) - 1
+    run[order] = np.repeat(np.arange(len(heads)), np.diff(heads, append=len(order)))
     return ranked[heads], np.minimum.reduceat(order, heads), run
 
 
@@ -560,45 +560,17 @@ class GraphStats:
         return asdict(self)
 
 
-def extend_ids(keys: KeyTable, extra: KeyTable) -> tuple[KeyTable, np.ndarray]:
-    """``(keys, at)`` with the ``extra`` ids that ``keys`` lacks appended, sorted.
-
-    ``at[i]`` is the code of ``extra.ids[i]`` in the returned table. Sorting
-    keeps node indexing independent of input order. The input table is
-    returned as it is when nothing is new, and never changed.
-    """
-    at = keys.find(extra)
-    missing = np.flatnonzero(at < 0)
-    if not len(missing):
-        return keys, at
-    order = np.array(sorted(missing.tolist(), key=extra.ids.__getitem__), dtype=np.int64)
-    at[order] = np.arange(len(keys), len(keys) + len(order))
-    return keys.extend(extra.take(order)), at
-
-
-def build_graph(
-    edge_pairs: Iterable[tuple[str, str]],
-    isolated_ids: Iterable[str] = (),
-) -> SocialGraph:
+def build_graph(edge_pairs: Iterable[tuple[str, str]]) -> SocialGraph:
     """Intern ids and build the graph from (follower, followee) string pairs.
 
     ``edge_pairs`` may also be an :class:`EdgeList` (what
     :func:`hateagg.ingest.read_edges` returns), which is already interned.
     Duplicate edges are collapsed. Self-loops, non-string and empty ids are
-    rejected with the offending pair's position. ``isolated_ids`` registers
-    nodes with no edges; they are appended after all edge endpoints, in
-    sorted order so node indexing never depends on set iteration order.
+    rejected with the offending pair's position. Nodes without edges enter
+    a graph only through :func:`hateagg.ingest.bind_dataset`.
     """
     edges = edge_pairs if isinstance(edge_pairs, EdgeList) else EdgeList.from_pairs(edge_pairs)
-    isolated = list(isolated_ids)
-    for pos, u in enumerate(isolated, start=1):
-        if not isinstance(u, str):
-            raise InputError(f"isolated id {pos}: expected a string, got {u!r}")
-    if "" in isolated:
-        raise InputError("isolated id must be nonempty")
-    isolated = sorted(set(isolated))
-    keys, _ = extend_ids(edges.id_keys, KeyTable.of(isolated))
-    return SocialGraph(keys, edges.src, edges.dst)
+    return SocialGraph(edges.id_keys, edges.src, edges.dst)
 
 
 def _component_roots(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -768,24 +740,26 @@ def _triangle_counts(indptr: np.ndarray, indices: np.ndarray, chunk: int) -> np.
     return tri.take(rank)
 
 
-def clustering_coefficient(g: SocialGraph, chunk: int = 1 << 19) -> float:
+# wedges made and tested per block of the triangle count
+_WEDGE_CHUNK = 1 << 19
+
+
+def clustering_coefficient(g: SocialGraph) -> float:
     """Average local clustering coefficient of the undirected simple view.
 
     Each node contributes (links among its neighbors) / (possible links);
     nodes with degree < 2 contribute 0. Triangles come from forward counting
-    on a degree order, ``chunk`` wedges per block, so memory stays bounded on
-    large graphs. Each node's signature of its out-neighbors drops most open
-    wedges before the exact link lookup; a clear bit proves a link absent, so
-    the counts, and the coefficient, are exact.
+    on a degree order, ``_WEDGE_CHUNK`` wedges per block, so memory stays
+    bounded on large graphs. Each node's signature of its out-neighbors drops
+    most open wedges before the exact link lookup; a clear bit proves a link
+    absent, so the counts, and the coefficient, are exact.
     """
     if g.node_count == 0:
         raise InputError("empty graph has no clustering coefficient")
-    if chunk < 1:
-        raise InputError(f"chunk must be >= 1, got {chunk}")
     indptr, indices = g.csr("undirected")
     n = g.node_count
     deg = np.diff(indptr)
-    closed_wedges = 2.0 * _triangle_counts(indptr, indices, chunk)  # exact integers
+    closed_wedges = 2.0 * _triangle_counts(indptr, indices, _WEDGE_CHUNK)  # exact integers
     wedges = deg.astype(np.float64) * (deg - 1)
     local = np.zeros(n, dtype=np.float64)
     mask = deg >= 2

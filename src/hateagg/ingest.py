@@ -15,10 +15,11 @@ Blank lines are skipped everywhere, and whitespace (what ``str.strip``
 strips) around lines and ids is dropped. Scores are produced upstream by
 whatever utterance model the deployment uses; this package never sees text.
 
-The parsers read ``_BLOCK_CHARS`` characters at a time, cut at a line end,
-and tokenize each block once, on its UTF-8 bytes (``_Block``): ASCII
-whitespace moves field offsets, and only a block holding another is first
-stripped in Python. The ids of a file go through one ``KeyTable``, which a
+The parsers read ``_BLOCK_CHARS`` characters at a time, finish the block's
+last line with ``readline``, and tokenize each block once, on its UTF-8
+bytes (``_Block``): ASCII whitespace moves field offsets, only a block
+holding another is first stripped in Python, and a block with an empty id
+is refused there. The ids of a file go through one ``KeyTable``, which a
 parsed edge list or score table keeps as its user universe. A block that
 fails a bulk check is re-read line by line (``_rescan_*``) to raise the
 first bad line's error, so messages and line numbers are those of a
@@ -41,7 +42,6 @@ from .graph import (
     SocialGraph,
     _stable_order,
     _strings,
-    extend_ids,
     largest_wcc,
 )
 from .serialize import write_rows
@@ -67,28 +67,19 @@ _BLOCK_CHARS = 1 << 20
 def _text_blocks(stream: IO[str] | str) -> Iterator[tuple[int, str]]:
     """Yield (number of the first line, whole lines each ending in a newline) per block.
 
-    Lines split where iterating the stream would split them, so line numbers
-    match ``enumerate(stream, start=1)``. A last line without a newline gets
-    one.
+    A block is ``_BLOCK_CHARS`` characters finished by ``readline`` up to a
+    ``"\\n"``, so line numbers count newlines; in a stream opened with
+    ``newline=""`` a lone ``"\\r"`` stays inside its line. A last line
+    without a newline gets one.
     """
     if isinstance(stream, str):
         stream = io.StringIO(stream)
     lineno = 1
-    pending: list[str] = []  # the unterminated tail of what was read so far
-    while True:
-        chunk = stream.read(_BLOCK_CHARS)
-        cut = chunk.rfind("\n")
-        if cut < 0:
-            if chunk:
-                pending.append(chunk)
-                continue
-            text = "".join(pending)  # end of stream: a last line without newline
-            if text:
-                yield lineno, text + "\n"
-            return
-        pending.append(chunk[: cut + 1])
-        text = "".join(pending)
-        pending = [chunk[cut + 1 :]]
+    while text := stream.read(_BLOCK_CHARS):
+        parts = [text]
+        while not parts[-1].endswith("\n"):
+            parts.append(stream.readline() or "\n")
+        text = "".join(parts)
         yield lineno, text
         lineno += text.count("\n")
 
@@ -125,11 +116,13 @@ class _Block:
 
     @classmethod
     def of(cls, text: str, fields: int, edges: bool) -> "_Block | None":
-        """The block's data lines, or None unless each holds ``fields`` fields.
+        """The block's data lines, or None unless each holds ``fields`` fields and no empty id.
 
         Blank lines drop out, and in an edge file so do lines whose first
-        non-space byte is ``#``. Outside edge files the last field is a number;
-        its leading whitespace is left to ``float()`` and ``int()`` to skip.
+        non-space byte is ``#``. Both fields of an edge line are ids, and so
+        is the first field of a score or label line; a score line's post id
+        may be empty. Outside edge files the last field is a number; its
+        leading whitespace is left to ``float()`` and ``int()`` to skip.
         """
         if not text.isascii() and _WIDE_SPACE.search(text):
             text = _strip_lines(text, edges)
@@ -177,7 +170,11 @@ class _Block:
         if not edges:  # the last field is a number, which keeps its leading whitespace
             trimmed[fields - 1 :: fields] = starts[fields - 1 :: fields]
         ends = np.maximum(sep - run[sep], trimmed)
-        return cls(data, trimmed.reshape(lines, fields), ends.reshape(lines, fields))
+        trimmed, ends = trimmed.reshape(lines, fields), ends.reshape(lines, fields)
+        ids = fields if edges else 1  # the leading fields that hold ids
+        if np.any(trimmed[:, :ids] == ends[:, :ids]):
+            return None
+        return cls(data, trimmed, ends)
 
     def floats(self, column: int) -> np.ndarray:
         """Field ``column`` of every line as floats, as ``float()`` reads it.
@@ -221,10 +218,9 @@ def read_edges(stream: IO[str] | str) -> EdgeList:
     srcs, dsts = [], []
     for first, text in _text_blocks(stream):
         block = _Block.of(text, 2, edges=True) or _rescan_edges(first, text)
-        base = len(keys)
         codes = block.ids(keys)
         src, dst = codes[0::2], codes[1::2]
-        if "" in keys.ids[base:] or np.any(src == dst):
+        if np.any(src == dst):
             _rescan_edges(first, text)
         srcs.append(src)
         dsts.append(dst)
@@ -316,9 +312,8 @@ def parse_scores(stream: IO[str] | str) -> ScoreTable:
             value = block.floats(2)
         except ValueError:
             _rescan_scores(first, text)
-        base = len(keys)
         code = block.ids(keys, 0)
-        if "" in keys.ids[base:] or not np.all((value >= 0.0) & (value <= 1.0)):
+        if not np.all((value >= 0.0) & (value <= 1.0)):
             _rescan_scores(first, text)
         codes.append(code)
         values.append(value)
@@ -373,7 +368,7 @@ def parse_labels(stream: IO[str] | str) -> tuple[KeyTable, np.ndarray]:
             values = list(map(int, texts.ids[len(text_label) :]))
         except ValueError:
             _rescan_labels(first, text, users[:base], known)
-        if "" in users[base:] or not set(values) <= {0, 1}:
+        if not set(values) <= {0, 1}:
             _rescan_labels(first, text, users[:base], known)
         text_label = np.concatenate([text_label, np.array(values, dtype=np.int64)])
         label = text_label[text_code]
@@ -496,23 +491,22 @@ def bind_dataset(
     outside = (label != 0) & (label != 1)
     if outside.any():
         raise InputError(f"label must be 0 or 1, got {label[np.argmax(outside)]}")
-    summary: dict = {
-        "dropped_by_wcc": 0,
-        "dropped_scored_users": 0,
-        "dropped_labels": 0,
-    }
 
     if policy.restrict_to_wcc:
         g = largest_wcc(graph)
-        summary["dropped_by_wcc"] = graph.node_count - g.node_count
         rows = scores.id_keys.find(g.id_keys)  # the score row of each node, -1 if none
     else:
-        keys, at = extend_ids(graph.id_keys, scores.id_keys)
-        g = graph if keys is graph.id_keys else SocialGraph(keys, *graph.edge_arrays())
+        g = graph
+        at = graph.id_keys.find(scores.id_keys)  # the node of each score row, -1 if none
+        # sorted, so node indexing never depends on the score file's order
+        new = sorted(np.flatnonzero(at < 0).tolist(), key=scores.id_keys.ids.__getitem__)
+        if new:
+            at[new] = np.arange(graph.node_count, graph.node_count + len(new))
+            keys = graph.id_keys.extend(scores.id_keys.take(np.array(new, dtype=np.int64)))
+            g = SocialGraph(keys, *graph.edge_arrays())
         rows = np.full(g.node_count, -1, dtype=np.int64)
         rows[at] = np.arange(len(scores))
     scored = int(np.count_nonzero(rows >= 0))
-    summary["dropped_scored_users"] = len(scores) - scored
 
     node = g.id_keys.find(users)
     bound = node >= 0
@@ -535,17 +529,19 @@ def bind_dataset(
         )
     column = np.full(g.node_count, -1, dtype=np.int8)
     column[node[bound]] = label[bound]
-
-    summary["dropped_labels"] = dropped
-    summary["users"] = g.node_count
-    summary["edges"] = g.edge_count
-    summary["scored_users"] = scored + int(np.count_nonzero(unscored))
-    summary["labeled_users"] = len(users) - dropped
     return Dataset(
         graph=g,
         scores=ScoreTable(g.id_keys, *scores.segments(rows)),
         labels=column,
-        discard_summary=summary,
+        discard_summary={
+            "dropped_by_wcc": graph.node_count - g.node_count if policy.restrict_to_wcc else 0,
+            "dropped_scored_users": len(scores) - scored,
+            "dropped_labels": dropped,
+            "users": g.node_count,
+            "edges": g.edge_count,
+            "scored_users": scored + int(np.count_nonzero(unscored)),
+            "labeled_users": len(users) - dropped,
+        },
     )
 
 

@@ -26,24 +26,11 @@ def fmt_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+# JSON string escapes: the quote, the backslash and every character below 0x20
+_ESCAPES = str.maketrans(
+    {chr(c): f"\\u{c:04x}" for c in range(0x20)}
+    | {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t", "\r": "\\r"}
+)
 
 
 def render_json(obj: Any, indent: int = 0) -> str:
@@ -63,12 +50,12 @@ def render_json(obj: Any, indent: int = 0) -> str:
     if isinstance(obj, float):
         return fmt_float(obj)
     if isinstance(obj, str):
-        return f'"{_escape(obj)}"'
+        return f'"{obj.translate(_ESCAPES)}"'
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f'{inner}"{_escape(str(k))}": {render_json(v, indent + 2)}'
+            f'{inner}"{str(k).translate(_ESCAPES)}": {render_json(v, indent + 2)}'
             for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
@@ -85,7 +72,8 @@ def render_json(obj: Any, indent: int = 0) -> str:
 
 def json_line(obj: dict) -> str:
     """One-line JSON object, each value rendered by :func:`render_json`."""
-    return "{" + ", ".join(f'"{_escape(str(k))}": {render_json(v)}' for k, v in obj.items()) + "}"
+    items = (f'"{str(k).translate(_ESCAPES)}": {render_json(v)}' for k, v in obj.items())
+    return "{" + ", ".join(items) + "}"
 
 
 def dump_json(obj: Any) -> str:

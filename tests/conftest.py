@@ -37,10 +37,12 @@ def make_dataset(
     scores: dict[str, list[float]] | None = None,
     labels: dict[str, int] | None = None,
     policy: BindPolicy | None = None,
-    isolated: tuple[str, ...] = (),
 ) -> Dataset:
-    """Assemble a dataset from literal python structures."""
-    graph = build_graph(edges, isolated_ids=isolated)
+    """Assemble a dataset from literal python structures.
+
+    Scored users missing from the edges join the graph as isolated nodes.
+    """
+    graph = build_graph(edges)
     table = ScoreTable.from_mapping(scores or {})
     policy = policy or BindPolicy(allow_zero_post_users=True)
     return bind_dataset(graph, table, label_table(labels or {}), policy)
@@ -76,7 +78,7 @@ def random_dataset(
         for i in np.flatnonzero(chosen):
             labels[ids[int(i)]] = int(rng.integers(0, 2))
 
-    graph = build_graph(edges, isolated_ids=tuple(ids))
+    graph = build_graph(edges)  # binding adds every scored user off the edges
     return bind_dataset(
         graph, table, label_table(labels), BindPolicy(allow_zero_post_users=True)
     )

@@ -40,6 +40,30 @@ def csv_line(values) -> str:
     return ",".join(csv_cell(v) for v in values)
 
 
+# -- JSON string escapes --------------------------------------------------------
+
+
+def naive_escape(s: str) -> str:
+    """A string's JSON escapes, one character at a time."""
+    out = []
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ch == "\n":
+            out.append("\\n")
+        elif ch == "\t":
+            out.append("\\t")
+        elif ch == "\r":
+            out.append("\\r")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
 # -- per-id views of the library's tables ----------------------------------------
 
 
@@ -152,7 +176,7 @@ def naive_parse_labels(stream) -> dict[str, int]:
     return labels
 
 
-def naive_build_graph(edge_pairs, isolated_ids=()) -> tuple[list, np.ndarray, np.ndarray]:
+def naive_build_graph(edge_pairs) -> tuple[list, np.ndarray, np.ndarray]:
     """(ids, src codes, dst codes): ids numbered per pair in first-seen order."""
     ids: list = []
     index: dict = {}
@@ -180,15 +204,6 @@ def naive_build_graph(edge_pairs, isolated_ids=()) -> tuple[list, np.ndarray, np
             raise InputError(f"edge {pos}: self-loop on {u!r}")
         src_list.append(intern(u))
         dst_list.append(intern(v))
-
-    isolated_ids = list(isolated_ids)
-    for pos, u in enumerate(isolated_ids, start=1):
-        if not isinstance(u, str):
-            raise InputError(f"isolated id {pos}: expected a string, got {u!r}")
-    for u in sorted(set(isolated_ids)):
-        if not u:
-            raise InputError("isolated id must be nonempty")
-        intern(u)
     return ids, np.asarray(src_list, dtype=np.int64), np.asarray(dst_list, dtype=np.int64)
 
 

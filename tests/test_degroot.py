@@ -19,7 +19,7 @@ from hateagg import (
 )
 import hateagg.degroot as degroot_module
 import hateagg.graph as graph_module
-from hateagg.graph import SocialGraph
+from hateagg.graph import KeyTable, SocialGraph
 
 from conftest import make_dataset, random_dataset
 from oracles import dense_degroot_step, gather_degroot_step
@@ -129,7 +129,7 @@ class TestStep:
             assert np.array_equal(nxt, vals)
 
     def test_isolated_node_keeps_belief(self):
-        g = build_graph([("a", "b")], isolated_ids=("z",))
+        g = SocialGraph(KeyTable.of(["a", "b", "z"]), np.array([0]), np.array([1]))
         vals = np.zeros(3)
         vals[g.ids.index("z")] = 0.7
         nxt = degroot_step(g, beliefs(vals))

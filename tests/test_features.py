@@ -22,7 +22,7 @@ pytestmark = []
 
 def user_row(scores, mode, **config):
     """The feature row of a single isolated user with the given post scores."""
-    ds = make_dataset([], scores={"u": scores}, isolated=("u",))
+    ds = make_dataset([], scores={"u": scores})
     return build_features(ds, mode, AggregationConfig(**config)).values[0]
 
 
@@ -185,7 +185,7 @@ class TestSoftmax:
 
 class TestBuildFeatures:
     def test_fixed_single_column(self):
-        ds = make_dataset([], scores={"u": [0.9] * 7}, isolated=("u",))
+        ds = make_dataset([], scores={"u": [0.9] * 7})
         fm = build_features(ds, "fixed")
         assert fm.schema == ["hate_post_count"]
         assert fm.values.tolist() == [[7.0]]
@@ -197,9 +197,7 @@ class TestBuildFeatures:
         assert fm.values.shape == (2, 23)
 
     def test_bins_row_is_softmaxed_histogram(self):
-        ds = make_dataset(
-            [], scores={"u": [0.05, 0.25, 0.95]}, isolated=("u",)
-        )
+        ds = make_dataset([], scores={"u": [0.05, 0.25, 0.95]})
         fm = build_features(ds, "bins", AggregationConfig(k_bins=5))
         want = naive_softmax([1.0, 1.0, 0.0, 0.0, 1.0])
         assert np.allclose(fm.values[0], want, atol=1e-15)
@@ -228,7 +226,7 @@ class TestBuildFeatures:
         assert np.allclose(fm.values[:, 4:].sum(axis=1), posts)
 
     def test_unknown_mode_rejected(self):
-        ds = make_dataset([], scores={"u": [0.5]}, isolated=("u",))
+        ds = make_dataset([], scores={"u": [0.5]})
         with pytest.raises(InputError):
             build_features(ds, "sideways")
 

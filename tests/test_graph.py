@@ -47,15 +47,14 @@ def random_edges(rng, n, p):
     return [(int(a), int(b)) for a, b in zip(src, dst)]
 
 
-def graph_from_int_edges(n, edges):
-    pairs = [(f"n{a}", f"n{b}") for a, b in edges]
-    isolated = tuple(f"n{i}" for i in range(n))
-    return build_graph(pairs, isolated_ids=isolated)
-
-
 def index_graph(n, src, dst):
     """Graph on nodes 0..n-1 straight from index arrays."""
     return SocialGraph([f"n{i}" for i in range(n)], np.asarray(src), np.asarray(dst))
+
+
+def graph_from_int_edges(n, edges):
+    src, dst = np.array(edges, dtype=np.int64).reshape(-1, 2).T
+    return index_graph(n, src, dst)
 
 
 @st.composite
@@ -114,6 +113,13 @@ def colliding_cycles(draw):
     return n, edges
 
 
+def clustering_in_chunks(g, chunk):
+    """``clustering_coefficient`` with ``chunk`` wedges per block."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graph_module, "_WEDGE_CHUNK", chunk)
+        return clustering_coefficient(g)
+
+
 def triangle_counts(g, chunk):
     return graph_module._triangle_counts(*g.csr("undirected"), chunk).tolist()
 
@@ -166,13 +172,10 @@ class TestBuildGraph:
         rng = np.random.default_rng(11)
         for _ in range(5):
             n = int(rng.integers(2, 60))
-            edges = random_edges(rng, n, 0.08)
-            pairs = [(f"n{a}", f"n{b}") for a, b in edges]
-            fwd = build_graph(pairs, isolated_ids=tuple(f"n{i}" for i in range(n)))
-            rev = build_graph(
-                [(b, a) for a, b in pairs],
-                isolated_ids=tuple(f"n{i}" for i in range(n)),
-            )
+            src, dst = np.array(random_edges(rng, n, 0.08), dtype=np.int64).reshape(-1, 2).T
+            fwd = index_graph(n, src, dst)
+            # the reversed edges, on the nodes numbered backwards
+            rev = SocialGraph(graph_module.KeyTable.of(fwd.ids[::-1]), n - 1 - dst, n - 1 - src)
             for uid in fwd.ids:
                 i_f = fwd.ids.index(uid)
                 i_r = rev.ids.index(uid)
@@ -187,23 +190,14 @@ class TestBuildGraph:
         edges = read_edges("a,b\nb,c\n")
         assert codes_of(edges.id_keys, ["a", "b", "c", "y"]).tolist() == [0, 1, 2, -1]
         assert build_graph(edges).id_keys is edges.id_keys
-        g = build_graph(edges, isolated_ids=("z", "a", "y"))
+        scores = ScoreTable.from_mapping({"z": [], "a": [], "y": []})
+        g = bind_dataset(build_graph(edges), scores).graph
         assert g.ids == ["a", "b", "c", "y", "z"]
         assert codes_of(g.id_keys, ["z", "y", "c", "x"]).tolist() == [4, 3, 2, -1]
-        # extending for isolated ids copies: the edge list stays as read
+        # binding isolated users copies the table: the edge list stays as read
         assert len(edges.id_keys) == 3
         assert codes_of(edges.id_keys, ["a", "b", "c", "y", "z"]).tolist() == [0, 1, 2, -1, -1]
         assert edges.ids == ["a", "b", "c"]
-
-    def test_isolated_ids_registered(self):
-        g = build_graph([("a", "b")], isolated_ids=("z", "y"))
-        assert g.node_count == 4
-        assert g.edge_count == 1
-        # isolated ids appended in sorted order for stable indexing
-        assert g.ids[2:] == ["y", "z"]
-        with pytest.raises(InputError) as got:
-            build_graph([("a", "b")], isolated_ids=("z", 5))
-        assert str(got.value) == "isolated id 2: expected a string, got 5"
 
     def test_reciprocal_edges_collapse_in_undirected_view(self):
         g = build_graph([("a", "b"), ("b", "a")])
@@ -330,13 +324,13 @@ class TestLargestWcc:
 
 class TestComponentStats:
     def test_edge_plus_isolated(self):
-        g = build_graph([("a", "b")], isolated_ids=("c",))
+        g = SocialGraph(graph_module.KeyTable.of(["a", "b", "c"]), np.array([0]), np.array([1]))
         counts = component_stats(g)
         assert counts.n_components == 2
         assert counts.n_singletons == 1
 
     def test_all_isolated(self):
-        g = build_graph([], isolated_ids=("a", "b", "c"))
+        g = SocialGraph(graph_module.KeyTable.of(["a", "b", "c"]), np.zeros(0), np.zeros(0))
         counts = component_stats(g)
         assert counts.n_components == 3
         assert counts.n_singletons == 3
@@ -372,7 +366,7 @@ class TestComponentStats:
         monkeypatch.setattr(
             graph_module, "_component_roots", lambda *a: calls.append(1) or roots(*a)
         )
-        g = build_graph([("a", "b"), ("b", "c"), ("x", "y")], isolated_ids=("z",))
+        g = index_graph(6, [0, 1, 3], [1, 2, 4])  # node 5 is isolated
         graph_stats(g)
         component_stats(g)
         assert len(calls) == 1
@@ -417,20 +411,14 @@ class TestClustering:
         n = 50
         edges = random_edges(rng, n, 0.15)
         g = graph_from_int_edges(n, edges)
-        assert clustering_coefficient(g, chunk=7) == clustering_coefficient(g)
+        assert clustering_in_chunks(g, 7) == clustering_coefficient(g)
 
     @given(mixed_graphs())
     def test_equals_sparse_product_exactly(self, g):
         want = sparse_product_clustering(g)
-        for kwargs in ({"chunk": 1}, {"chunk": 3}, {}):
-            assert clustering_coefficient(g, **kwargs) == want
-
-    @pytest.mark.parametrize("chunk", [0, -5])
-    def test_chunk_must_be_positive(self, chunk):
-        # a negative block size once meant no blocks and a silent 0.0
-        g = build_graph([("a", "b"), ("b", "c"), ("c", "a")])
-        with pytest.raises(InputError, match="chunk"):
-            clustering_coefficient(g, chunk=chunk)
+        for chunk in (1, 3):
+            assert clustering_in_chunks(g, chunk) == want
+        assert clustering_coefficient(g) == want
 
     def test_200k_leaf_star_is_fast(self):
         # the hub ranks last, so its 200k links open no wedges

@@ -588,6 +588,21 @@ class TestBulkParsersMatchOracles:
                 read_edges(text)
             assert str(got.value) == str(want.value)
 
+    @pytest.mark.parametrize("block", [1, 2, 3, 16])
+    def test_blocks_end_only_at_newlines(self, block):
+        # a stream opened with newline="" also ends lines at a lone "\r", but
+        # a block reads on to a "\n": the "\r" stays in its line, as in a str
+        def raw(text):
+            return io.TextIOWrapper(io.BytesIO(text.encode()), encoding="utf-8", newline="")
+
+        text = "a\rb,c\r\nd,e\r\n"
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ingest, "_BLOCK_CHARS", block)
+            assert read_edges(raw(text)).ids == ["a\rb", "c", "d", "e"]
+            with pytest.raises(InputError) as got:
+                read_edges(raw(text + "f\r,f\n"))
+        assert str(got.value) == "edges line 3: self-loop on 'f'"
+
     def test_scores_span_blocks(self):
         rows = [f"u{i % 997},p{i},{(i % 101) / 100}" for i in range(200_000)]
         text = "\n".join(rows) + "\n"
@@ -680,6 +695,22 @@ class TestBarePath:
         assert (slow_steps(text, edges) == []) == bare
         (check_edges if edges else check_labels)(text)
 
+    @pytest.mark.parametrize(
+        "text, fields, edges, refused",
+        [
+            ("a,b\n", 2, True, False),
+            (" ,b\n", 2, True, True),
+            ("a,\t\n", 2, True, True),
+            ("　,b\n", 2, True, True),  # stripped in Python first
+            (" ,p,0.5\n", 3, False, True),
+            ("u, ,0.5\n", 3, False, False),  # a score line's post id may be empty
+            ("u,,0.5\n", 3, False, False),
+            ("\f,1\n", 2, False, True),
+        ],
+    )
+    def test_the_tokenizer_refuses_empty_ids(self, text, fields, edges, refused):
+        assert (ingest._Block.of(text, fields, edges) is None) == refused
+
     def test_non_ascii_digit_score(self):
         for text in ("u,p,١\n", "u,p,٠.٥\nv,q,0.25\n"):
             check_scores(text)
@@ -769,19 +800,16 @@ PAIR_IDS = IDS + ["a\nb", "\n", "a,b", ","]
 
 
 class TestBuildGraphMatchesOracle:
-    @given(
-        pairs=st.lists(st.tuples(*[st.sampled_from(PAIR_IDS)] * 2), max_size=40),
-        isolated=st.lists(st.sampled_from(PAIR_IDS + ["iso", "", 5]), max_size=4),
-    )
-    def test_ids_codes_and_csr(self, pairs, isolated):
+    @given(pairs=st.lists(st.tuples(*[st.sampled_from(PAIR_IDS)] * 2), max_size=40))
+    def test_ids_codes_and_csr(self, pairs):
         try:
-            ids, src, dst = naive_build_graph(pairs, isolated)
+            ids, src, dst = naive_build_graph(pairs)
         except InputError as exc:
             with pytest.raises(InputError) as got:
-                build_graph(pairs, isolated_ids=isolated)
+                build_graph(pairs)
             assert str(got.value) == str(exc)
             return
-        g = build_graph(pairs, isolated_ids=isolated)
+        g = build_graph(pairs)
         assert g.ids == ids
         assert codes_of(g.id_keys, ids).tolist() == list(range(len(ids)))
         for (indptr, indices), (want_ptr, want_idx) in (

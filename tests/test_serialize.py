@@ -17,7 +17,7 @@ from hateagg.serialize import (
     write_rows,
 )
 
-from oracles import csv_cell, csv_line, naive_write_rows
+from oracles import csv_cell, csv_line, naive_escape, naive_write_rows
 
 
 class TestFmtFloat:
@@ -80,6 +80,11 @@ class TestRenderJson:
     def test_string_escapes(self):
         tricky = 'quote " slash \\ newline \n tab \t bell \x07'
         assert json.loads(render_json(tricky)) == tricky
+
+    def test_escape_table_matches_per_character_escapes(self):
+        every = "".join(map(chr, range(0x110000)))  # lone surrogates among them
+        assert render_json(every) == f'"{naive_escape(every)}"'
+        assert serialize.json_line({every: 1}) == f'{{"{naive_escape(every)}": 1}}'
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):
