@@ -81,7 +81,6 @@ class FeatureMatrix:
     schema: list[str]
     user_ids: list[str]
     values: np.ndarray
-    mode: str
 
     def to_csv(self, stream: IO[str]) -> None:
         stream.write("user_id," + ",".join(self.schema) + "\n")
@@ -178,6 +177,4 @@ def build_features(
 
     schema = [name for names, _ in blocks for name in names]
     values = np.hstack([b for _, b in blocks])
-    return FeatureMatrix(
-        schema=schema, user_ids=list(dataset.graph.ids), values=values, mode=mode
-    )
+    return FeatureMatrix(schema=schema, user_ids=list(dataset.graph.ids), values=values)

@@ -86,10 +86,9 @@ def _stable_order(key: np.ndarray) -> np.ndarray:
 
 def _csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """CSR (indptr, indices) of the distinct (src, dst) pairs, rows and columns sorted."""
-    rows, cols = np.divmod(_packed_keys(src, dst, n), n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    return indptr, cols.astype(np.int32)
+    key = _packed_keys(src, dst, n)  # a fresh array, so the modulo may write into it
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    return indptr, np.remainder(key, n, out=key).astype(np.int32)
 
 
 # _KEY_MASKS[r] keeps the first r bytes of a little-endian 8-byte word

@@ -2,9 +2,9 @@
 
 The classifier is deliberately dependency-free: full-batch gradient descent
 with backtracking (Armijo) line search from a zero initialization, so a given
-training set always produces the same model. Each line-search trial is one
-objective-and-gradient evaluation, and the trial that passes the Armijo test
-carries its loss and gradient over to the next step. Features are
+training set always produces the same model. Each line-search trial
+evaluates the objective only; the trial that passes the Armijo test carries
+its loss over, and its logits give the next step's gradient. Features are
 standardized with statistics fitted on the training rows only; a
 zero-variance column gets std 1, which makes its standardized values
 constant zero and freezes its weight at the origin.
@@ -18,7 +18,7 @@ weights (never the bias):
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,7 +83,6 @@ class LogRegModel:
     std: np.ndarray
     decision_threshold: float = 0.5
     n_iters: int = 0
-    loss_history: list[float] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -125,6 +124,19 @@ def expit(z: np.ndarray | float) -> np.ndarray | np.float64:
     return (1.0 / (1.0 + e)).reshape(t.shape)[()]
 
 
+def _objective(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, lam: float):
+    """Regularized mean-NLL loss at (w, b), and the logits ``z`` it was read from."""
+    z = X @ w + b
+    # log(1 + e^z) - y z, evaluated stably
+    return float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * lam * float(w @ w), z
+
+
+def _gradient(X: np.ndarray, y: np.ndarray, z: np.ndarray, w: np.ndarray, lam: float):
+    """Gradient (weights, bias) of the loss at the weights ``w`` whose logits are ``z``."""
+    resid = (expit(z) - y) / len(y)
+    return X.T @ resid + lam * w, float(np.sum(resid))
+
+
 def loss_and_gradient(
     X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, lam: float
 ) -> tuple[float, np.ndarray, float]:
@@ -133,14 +145,8 @@ def loss_and_gradient(
     The NLL term is the mean over examples; the L2 penalty applies to the
     weights only, never the bias.
     """
-    z = X @ w + b
-    n = len(y)
-    # log(1 + e^z) - y z, evaluated stably
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * lam * float(w @ w)
-    resid = (expit(z) - y) / n
-    gw = X.T @ resid + lam * w
-    gb = float(np.sum(resid))
-    return loss, gw, gb
+    loss, z = _objective(X, y, w, b, lam)
+    return (loss, *_gradient(X, y, z, w, lam))
 
 
 def train_logreg(
@@ -153,10 +159,9 @@ def train_logreg(
 
     Deterministic: zero init, full-batch descent, Armijo backtracking, stop
     when the gradient max-norm (weights and bias) drops below ``_GRAD_TOL``
-    or after ``_MAX_ITERS`` steps. Each backtracking trial calls
-    :func:`loss_and_gradient` once; the loss and gradient of the trial that
-    passes become the next iterate's, so a step costs one evaluation per
-    trial.
+    or after ``_MAX_ITERS`` steps. Each backtracking trial evaluates the
+    objective only; the gradient is formed once per step, from the logits of
+    the trial that passes.
     """
     config = config or LearnConfig()
     X = np.asarray(features, dtype=np.float64)
@@ -181,7 +186,6 @@ def train_logreg(
     w = np.zeros(X.shape[1])
     b = 0.0
     loss, gw, gb = loss_and_gradient(Xs, y, w, b, lam)
-    history = [loss]
     steps = 0
 
     while steps < _MAX_ITERS:
@@ -194,15 +198,14 @@ def train_logreg(
         for _ in range(60):
             w_new = w - step * gw
             b_new = b - step * gb
-            trial = loss_and_gradient(Xs, y, w_new, b_new, lam)
-            if trial[0] <= loss - 1e-4 * step * g2:
+            loss_new, z = _objective(Xs, y, w_new, b_new, lam)
+            if loss_new <= loss - 1e-4 * step * g2:
                 break
             step *= 0.5
         else:
             break  # step underflow: gradient no longer improves the loss
-        w, b = w_new, b_new
-        loss, gw, gb = trial
-        history.append(loss)
+        w, b, loss = w_new, b_new, loss_new
+        gw, gb = _gradient(Xs, y, z, w, lam)
         steps += 1
 
     return LogRegModel(
@@ -213,7 +216,6 @@ def train_logreg(
         std=std,
         decision_threshold=config.decision_threshold,
         n_iters=steps,
-        loss_history=history,
     )
 
 
@@ -262,23 +264,49 @@ def stratified_kfold(
     ]
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing the mean of their ranks, as float64.
+def _class_scores(y: np.ndarray, scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positive (label 1) and the other scores, each sorted ascending.
 
-    The same float operations as ``scipy.stats.rankdata(x, method="average")``,
-    so the ranks are bit-identical to it.
+    The one sort behind every thresholded metric: :func:`_prf1_at` and
+    :func:`_roc_auc` read it by binary search.
     """
-    n = len(x)
-    order = np.argsort(x, kind="stable")
-    sorted_x = x[order]
-    is_start = np.ones(n, dtype=bool)
-    is_start[1:] = sorted_x[:-1] != sorted_x[1:]
-    starts = np.flatnonzero(is_start)
-    counts = np.diff(starts, append=n)
-    run_ranks = (starts + 1).astype(np.float64) + (counts.astype(np.float64) - 1) / 2
-    ranks = np.empty(n, dtype=np.float64)
-    ranks[order] = np.repeat(run_ranks, counts)
-    return ranks
+    is_pos = np.asarray(y) == 1
+    return np.sort(scores[is_pos]), np.sort(scores[~is_pos])
+
+
+def _prf1(tp: np.ndarray, fp: np.ndarray, fn: np.ndarray):
+    """Precision, recall and F1 of the counts, elementwise.
+
+    Each is 0 where its denominator is 0: with no predicted positives, with
+    no positives, and when precision + recall is 0.
+    """
+    zeros = np.zeros(np.shape(tp))
+    p = np.divide(tp, tp + fp, out=zeros.copy(), where=tp + fp > 0)
+    r = np.divide(tp, tp + fn, out=zeros.copy(), where=tp + fn > 0)
+    f1 = np.divide(2 * p * r, p + r, out=zeros, where=p + r > 0)
+    return p, r, f1
+
+
+def _prf1_at(pos: np.ndarray, neg: np.ndarray, cutoffs: Sequence[float] | np.ndarray):
+    """Precision, recall and F1 of ``score >= t`` at each cutoff ``t``."""
+    tp = len(pos) - np.searchsorted(pos, cutoffs)
+    return _prf1(tp, len(neg) - np.searchsorted(neg, cutoffs), len(pos) - tp)
+
+
+def _roc_auc(pos: np.ndarray, neg: np.ndarray) -> float:
+    """ROC AUC of the sorted class scores, ties counting half.
+
+    The Mann-Whitney U over ``n_pos * n_neg`` (Hanley & McNeil 1982). A
+    positive adds the negatives below it and half of those equal to it, so
+    ``2U`` is the integer sum of the positives' left and right insertion
+    points among the negatives, and one division rounds it correctly.
+    """
+    if len(pos) == 0:
+        raise DegenerateDataError("no positive examples: recall undefined")
+    if len(neg) == 0:
+        raise DegenerateDataError("no negative examples: ROC AUC undefined")
+    two_u = sum(int(np.searchsorted(neg, pos, side).sum()) for side in ("left", "right"))
+    return two_u / (2 * len(pos) * len(neg))
 
 
 def metrics(
@@ -286,10 +314,9 @@ def metrics(
     y_pred: Sequence[int] | np.ndarray,
     y_score: Sequence[float] | np.ndarray,
 ) -> dict:
-    """Precision, recall, F1, and ROC AUC (ties count half).
+    """Precision, recall and F1 of the predictions, and ROC AUC of the scores.
 
-    Zero-denominator conventions: precision is 0 with no predicted
-    positives, F1 is 0 when precision + recall is 0. An evaluation set
+    The zero-denominator conventions are :func:`_prf1`'s. An evaluation set
     without both classes cannot be scored and raises.
     """
     y_true = np.asarray(y_true)
@@ -299,24 +326,12 @@ def metrics(
         raise InputError("metric inputs disagree in length")
     if not np.all(np.isfinite(y_score)):
         raise InputError("scores must be finite")
-    n_pos = int(np.sum(y_true == 1))
-    n_neg = len(y_true) - n_pos
-    if n_pos == 0:
-        raise DegenerateDataError("no positive examples: recall undefined")
-    if n_neg == 0:
-        raise DegenerateDataError("no negative examples: ROC AUC undefined")
-
-    tp = int(np.sum((y_pred == 1) & (y_true == 1)))
-    fp = int(np.sum((y_pred == 1) & (y_true == 0)))
-    fn = int(np.sum((y_pred == 0) & (y_true == 1)))
-    precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
-    recall = tp / (tp + fn)
-    f1 = 2 * precision * recall / (precision + recall) if (precision + recall) > 0 else 0.0
-
-    ranks = _average_ranks(y_score)
-    pos_rank_sum = float(np.sum(ranks[y_true == 1]))
-    auc = (pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
-    return {"precision": precision, "recall": recall, "f1": f1, "roc_auc": auc}
+    auc = _roc_auc(*_class_scores(y_true, y_score))
+    is_pos = y_true == 1
+    tp = np.sum((y_pred == 1) & is_pos)
+    fp = np.sum((y_pred == 1) & (y_true == 0))
+    fn = np.sum((y_pred == 0) & is_pos)
+    return dict(zip(METRIC_NAMES, (*map(float, _prf1(tp, fp, fn)), auc)))
 
 
 @dataclass
@@ -338,30 +353,18 @@ class EvalReport:
 def _best_f1_threshold(y: np.ndarray, scores: np.ndarray) -> float:
     """Smallest threshold maximizing F1 of (scores >= t) on the given labels.
 
-    Every distinct score is a candidate cutoff. One sort groups equal scores
-    into runs; suffix counts at each run start give tp and fp for
-    ``scores >= t`` (the single-pass ROC sweep, Fawcett 2006), so the cost
-    is O(n log n). ``argmax`` keeps the first maximum, the smallest cutoff.
-    Empty input returns 0.5.
+    Every score, ascending, is a candidate cutoff, scored against the
+    per-class sort by binary search: O(n log n). ``argmax`` keeps the first
+    maximum, the smallest cutoff. Empty input returns 0.5.
     """
     scores = np.asarray(scores)
     if len(scores) == 0:
         return 0.5
-    # stable, so which of two equal scores (0.0, -0.0) is returned never
-    # depends on the sort algorithm
-    order = np.argsort(scores, kind="stable")
-    s = scores[order]
-    y = np.asarray(y)[order]
-    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
-    tp = np.cumsum((y == 1)[::-1])[::-1][starts]
-    fp = np.cumsum((y == 0)[::-1])[::-1][starts]
-    fn = tp[0] - tp  # starts[0] == 0, so tp[0] counts every positive
-    # same float operations and zero-denominator conventions as metrics()
-    zeros = np.zeros(len(starts))
-    p = np.divide(tp, tp + fp, out=zeros.copy(), where=tp + fp > 0)
-    r = np.divide(tp, tp + fn, out=zeros.copy(), where=tp + fn > 0)
-    f1 = np.divide(2 * p * r, p + r, out=zeros, where=p + r > 0)
-    return float(s[starts[np.argmax(f1)]])
+    cutoffs = np.sort(scores)
+    best = cutoffs[np.argmax(_prf1_at(*_class_scores(y, scores), cutoffs)[2])]
+    # the first equal score in input order, so which of 0.0 and -0.0 is
+    # returned never depends on the sort algorithm
+    return float(scores[np.argmax(scores == best)])
 
 
 def _train_index(n: int, test_idx: np.ndarray) -> np.ndarray:
@@ -497,10 +500,10 @@ def threshold_sweep(
     node_idx, y = dataset.labeled_indices()
     if len(y) == 0:
         raise DegenerateDataError("dataset has no labeled users")
-    scores = counts[node_idx].astype(np.float64)
-    rows = []
-    for t in thresholds:
-        pred = (scores >= t).astype(np.int64)
-        m = metrics(y, pred, scores)
-        rows.append({"threshold": int(t), **m})
-    return rows
+    pos, neg = _class_scores(y, counts[node_idx].astype(np.float64))
+    auc = _roc_auc(pos, neg)
+    columns = zip(*_prf1_at(pos, neg, thresholds))
+    return [
+        {"threshold": int(t), **dict(zip(METRIC_NAMES, (*map(float, row), auc)))}
+        for t, row in zip(thresholds, columns)
+    ]

@@ -21,8 +21,9 @@ settings.register_profile(
     max_examples=60,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# HYPOTHESIS_PROFILE=ci runs the parser oracle tests deeper and prints the
-# blob that replays a failing example; the default keeps a local run fast
+# HYPOTHESIS_PROFILE=ci runs the parser, bind and metric oracle tests deeper
+# and prints the blob that replays a failing example; the default keeps a
+# local run fast
 settings.register_profile("ci", settings.get_profile("suite"), print_blob=True)
 PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "suite")
 settings.load_profile(PROFILE)
@@ -30,6 +31,8 @@ settings.load_profile(PROFILE)
 PARSER_EXAMPLES = 1000 if PROFILE == "ci" else 60
 # examples per bind oracle test
 BIND_EXAMPLES = 1000 if PROFILE == "ci" else 200
+# examples per metric oracle test
+METRIC_EXAMPLES = 1000 if PROFILE == "ci" else 100
 
 
 def make_dataset(

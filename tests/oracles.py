@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from hateagg import Dataset, InputError
-from hateagg.graph import KeyTable
+from hateagg.graph import KeyTable, _packed_keys
 from hateagg.serialize import fmt_float
 
 
@@ -224,6 +224,17 @@ def lexsort_csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, n
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     return indptr, dst.astype(np.int32, copy=False)
+
+
+def divmod_csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """CSR of the distinct (src, dst) pairs: the packed keys split by ``np.divmod``.
+
+    The previous ``graph._csr``: row counts by ``bincount``, then a prefix sum.
+    """
+    rows, cols = np.divmod(_packed_keys(src, dst, n), n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    return indptr, cols.astype(np.int32)
 
 
 def gather_in_sums(src: np.ndarray, dst: np.ndarray, n: int, values: np.ndarray) -> np.ndarray:
@@ -552,6 +563,37 @@ def numeric_gamma(
 # -- learning ------------------------------------------------------------------
 
 
+def average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of their ranks, as float64.
+
+    The same float operations as ``scipy.stats.rankdata(x, method="average")``,
+    so the ranks are bit-identical to it.
+    """
+    n = len(x)
+    order = np.argsort(x, kind="stable")
+    sorted_x = x[order]
+    is_start = np.ones(n, dtype=bool)
+    is_start[1:] = sorted_x[:-1] != sorted_x[1:]
+    starts = np.flatnonzero(is_start)
+    counts = np.diff(starts, append=n)
+    run_ranks = (starts + 1).astype(np.float64) + (counts.astype(np.float64) - 1) / 2
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(run_ranks, counts)
+    return ranks
+
+
+def rank_sum_auc(y_true, y_score, ranks=average_ranks) -> float:
+    """ROC AUC from the positives' rank sum (Wilcoxon), ties sharing their mean rank.
+
+    The library's previous AUC; ``ranks`` maps the scores to their average ranks.
+    """
+    y_true = np.asarray(y_true)
+    n_pos = int(np.sum(y_true == 1))
+    n_neg = len(y_true) - n_pos
+    pos_rank_sum = float(np.sum(ranks(np.asarray(y_score, dtype=np.float64))[y_true == 1]))
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+
+
 def brute_auc(y_true, y_score) -> float:
     pos = [s for s, t in zip(y_score, y_true) if t == 1]
     neg = [s for s, t in zip(y_score, y_true) if t == 0]
@@ -595,6 +637,28 @@ def naive_best_f1_threshold(y: np.ndarray, scores: np.ndarray) -> float:
             best_f1 = f1
             best_t = float(t)
     return best_t
+
+
+def naive_threshold_sweep(dataset: Dataset, thresholds, tau_t: float) -> list[dict]:
+    """The count-rule sweep with one rescan of the labeled users per cutoff.
+
+    Counts come from each user's scores, P/R/F1 from :func:`prf1` and the AUC
+    from :func:`rank_sum_auc`, re-ranked in every row.
+    """
+    user_scores = score_dict(dataset.scores)
+    labeled = [
+        (float(naive_fixed_count(user_scores.get(user, []), tau_t)), label)
+        for user, label in zip(dataset.graph.ids, dataset.labels.tolist())
+        if label >= 0
+    ]
+    counts = [count for count, _ in labeled]
+    y = [label for _, label in labeled]
+    rows = []
+    for t in thresholds:
+        p, r, f1 = prf1(y, [1 if count >= t else 0 for count in counts])
+        auc = rank_sum_auc(y, counts)
+        rows.append({"threshold": int(t), "precision": p, "recall": r, "f1": f1, "roc_auc": auc})
+    return rows
 
 
 def naive_train_logreg(X: np.ndarray, y: np.ndarray, lam: float):

@@ -29,6 +29,7 @@ from oracles import (
     brute_clustering,
     brute_triangles,
     codes_of,
+    divmod_csr,
     edge_pairs,
     gather_in_sums,
     label_table,
@@ -665,6 +666,28 @@ class TestPackedKeyCsr:
         g = SocialGraph([f"n{i}" for i in range(n)], src, dst)
         assert g.out_indices.max() >= n - 40
         assert_csr_matches_lexsort(g, src.astype(np.int64), dst.astype(np.int64))
+
+    @given(n=st.integers(1, 30), data=st.data())
+    def test_matches_the_divmod_split(self, n, data):
+        m = data.draw(st.integers(0, 80))  # 0: no edges
+        node = st.integers(0, n - 1)
+        src = np.array(data.draw(st.lists(node, min_size=m, max_size=m)), dtype=np.int32)
+        dst = np.array(data.draw(st.lists(node, min_size=m, max_size=m)), dtype=np.int32)
+        src, dst = np.concatenate([src, src[::2]]), np.concatenate([dst, dst[::2]])  # repeats
+        assert_same_csr(graph_module._csr(src, dst, n), divmod_csr(src, dst, n))
+
+    @pytest.mark.parametrize(
+        "n, pairs", [(0, []), (1, []), (1, [(0, 0)] * 5), (3, [(2, 1)] * 3 + [(0, 2)])]
+    )
+    def test_divmod_split_edge_cases(self, n, pairs):
+        src, dst = np.array(pairs, dtype=np.int32).reshape(-1, 2).T
+        assert_same_csr(graph_module._csr(src, dst, n), divmod_csr(src, dst, n))
+
+
+def assert_same_csr(got, want):
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
 
 
 def sort_then_dedup(keys):

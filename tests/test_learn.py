@@ -1,12 +1,13 @@
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit as scipy_expit
 from scipy.stats import rankdata
@@ -28,15 +29,18 @@ from hateagg import (
     train_logreg,
 )
 from hateagg import learn
-from hateagg.learn import _average_ranks, _best_f1_threshold, expit
+from hateagg.learn import _best_f1_threshold, expit
 
-from conftest import make_dataset, random_dataset
+from conftest import METRIC_EXAMPLES, make_dataset, random_dataset
 from oracles import (
+    average_ranks,
     brute_auc,
     fd_gradient,
     naive_best_f1_threshold,
+    naive_threshold_sweep,
     naive_train_logreg,
     prf1,
+    rank_sum_auc,
 )
 
 
@@ -89,13 +93,24 @@ class TestTrainLogreg:
         assert predict_proba(model, np.zeros(3)) == 0.5
 
     def test_loss_history_non_increasing(self):
+        # the reference loop records the loss at every iterate of the same fit
         rng = np.random.default_rng(97)
         X = rng.normal(size=(60, 4))
         y = (X[:, 0] + 0.3 * rng.normal(size=60) > 0).astype(int)
-        model = train_logreg(X, y, LearnConfig(l2_lambda=0.1))
-        hist = model.loss_history
-        assert len(hist) == model.n_iters + 1
+        assert_fit_matches_oracle(X, y, 0.1)
+        *_, n_iters, hist = naive_train_logreg(X, y, 0.1)
+        assert len(hist) == n_iters + 1
         assert all(b <= a for a, b in zip(hist, hist[1:]))
+
+    def test_one_gradient_per_descent_step(self):
+        # at a large penalty most steps backtrack; a rejected trial costs no sigmoid
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(10, 2))
+        y = np.array([0, 1] * 5)
+        with mock.patch.object(learn, "expit", wraps=learn.expit) as sigmoid:
+            model = train_logreg(X, y, LearnConfig(l2_lambda=25.0))
+        assert model.n_iters > 0
+        assert sigmoid.call_count == model.n_iters + 1
 
     def test_single_class_rejected(self):
         X = np.ones((6, 2))
@@ -142,15 +157,14 @@ class TestTrainLogreg:
 
 def assert_fit_matches_oracle(X, y, lam):
     model = train_logreg(X, y, LearnConfig(l2_lambda=lam))
-    w, b, n_iters, history = naive_train_logreg(X, y, lam)
+    w, b, n_iters, _ = naive_train_logreg(X, y, lam)
     assert model.weights.tobytes() == w.tobytes()
     assert model.bias == b
     assert model.n_iters == n_iters
-    assert model.loss_history == history
 
 
 class TestTrainMatchesTwoPassLoop:
-    """The carried-over trial gives the same fit as re-evaluating the accepted point."""
+    """The accepted trial's logits give the same fit as re-evaluating the accepted point."""
 
     @given(
         rows=st.lists(
@@ -169,7 +183,7 @@ class TestTrainMatchesTwoPassLoop:
         constant=True,
         lam=0.0,
     )
-    def test_weights_bias_iterations_and_history_equal(self, rows, constant, lam):
+    def test_weights_bias_and_iterations_equal(self, rows, constant, lam):
         y = np.array([label for label, _ in rows])
         if y.min() == y.max():
             y[0] = 1 - y[0]
@@ -401,32 +415,38 @@ class TestMetrics:
             p, r, f1 = prf1(y.tolist(), pred.tolist())
             assert (m["precision"], m["recall"], m["f1"]) == (p, r, f1)
 
-
-class TestAverageRanks:
-    """``scipy.stats.rankdata`` is the oracle; ``src/`` never imports it."""
-
+    @settings(max_examples=METRIC_EXAMPLES)
     @given(
-        st.one_of(
-            st.lists(st.integers(0, 8).map(lambda k: k / 8), min_size=1, max_size=60),
-            st.lists(st.sampled_from([0.0, 1.0]), min_size=1, max_size=60),
+        labels=st.lists(st.integers(0, 1), min_size=2, max_size=80),
+        values=st.one_of(
+            st.lists(st.integers(0, 8).map(lambda k: k / 8), min_size=80, max_size=80),
+            st.lists(st.sampled_from([0.0, -0.0, 1.0]), min_size=80, max_size=80),
             st.lists(
-                st.floats(allow_nan=False, allow_infinity=False),
-                min_size=1,
-                max_size=60,
+                st.floats(allow_nan=False, allow_infinity=False), min_size=80, max_size=80
             ),
-            st.builds(lambda v, n: [v] * n, st.floats(0.0, 1.0), st.integers(1, 60)),
-        )
+            st.floats(-1.0, 1.0).map(lambda v: [v] * 80),  # constant scores
+        ),
     )
-    @example([0.5])  # length 1
-    @example([0.25] * 7)  # all equal
-    @example([1.0, 0.0, 1.0, 0.0, 0.0])  # endpoints only
-    @example([0.0, -0.0, 0.0])  # signed zeros tie
-    def test_matches_rankdata_exactly(self, values):
-        x = np.array(values, dtype=np.float64)
-        got = _average_ranks(x)
-        want = rankdata(x, method="average")
-        assert got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes()
+    @example(labels=[0, 1], values=[0.5] * 80)
+    @example(labels=[1, 0, 1, 0, 0], values=[-0.0, 0.0, 0.0, -0.0, 1.0] * 16)
+    def test_auc_matches_rank_sum_oracles_bit_for_bit(self, labels, values):
+        y = np.array(labels)
+        y[:2] = [0, 1]
+        s = np.array(values[: len(y)], dtype=np.float64)
+        auc = metrics(y, (s > 0).astype(int), s)["roc_auc"]
+        by_ranks = rank_sum_auc(y, s)
+        by_scipy = rank_sum_auc(y, s, lambda x: rankdata(x, method="average"))
+        assert average_ranks(s).tobytes() == rankdata(s, method="average").tobytes()
+        assert np.float64(auc).tobytes() == np.float64(by_ranks).tobytes()
+        assert np.float64(auc).tobytes() == np.float64(by_scipy).tobytes()
+
+    def test_auc_at_a_million_scores_matches_rank_sum(self):
+        rng = np.random.default_rng(17)
+        n = 1_000_000
+        s = rng.integers(0, 1000, n) / 7.0  # ties in every run
+        y = rng.integers(0, 2, n)
+        auc = metrics(y, np.zeros(n, dtype=int), s)["roc_auc"]
+        assert np.float64(auc).tobytes() == np.float64(rank_sum_auc(y, s)).tobytes()
 
 
 class TestBestF1Threshold:
@@ -447,7 +467,7 @@ class TestBestF1Threshold:
                 st.integers(0, 1),
                 st.one_of(
                     st.integers(0, 8).map(lambda k: k / 8),  # heavy ties
-                    st.sampled_from([0.0, 1.0]),
+                    st.sampled_from([0.0, -0.0, 1.0]),
                     st.floats(0.0, 1.0),
                 ),
             ),
@@ -474,6 +494,13 @@ class TestBestF1Threshold:
     def test_edge_cases_match_loop_oracle(self, y, scores):
         y, scores = np.array(y), np.array(scores)
         assert _best_f1_threshold(y, scores) == naive_best_f1_threshold(y, scores)
+
+    @pytest.mark.parametrize("scores", [[-0.0, 0.0, 0.0], [0.0, -0.0, -0.0]])
+    def test_signed_zero_returned_as_first_given(self, scores):
+        # every score ties at zero, so zero is the best cutoff; its sign is the input's
+        got = _best_f1_threshold(np.array([1, 0, 1]), np.array(scores))
+        assert got == 0.0
+        assert math.copysign(1.0, got) == math.copysign(1.0, scores[0])
 
     def test_million_distinct_scores_is_fast(self):
         # rescanning every row per distinct score would take hours here
@@ -635,6 +662,43 @@ class TestThresholdSweep:
         ds = self.make_counted()
         with pytest.raises(InputError):
             threshold_sweep(ds, [0, 1])
+
+    @settings(max_examples=METRIC_EXAMPLES)
+    @given(
+        users=st.lists(
+            st.tuples(st.integers(0, 1), st.integers(0, 6), st.integers(0, 2)),
+            min_size=2,
+            max_size=30,
+        ),
+        thresholds=st.lists(st.integers(1, 9), max_size=8).map(sorted),
+    )
+    @example(users=[(0, 2, 0), (1, 2, 1), (1, 5, 0), (0, 5, 2)], thresholds=[1, 1, 2, 5, 9])
+    def test_rows_match_the_per_cutoff_oracle(self, users, thresholds):
+        # users: (label, flagged posts, clean posts); few distinct counts, so
+        # counts repeat, and cutoffs fall below, between and above them
+        users[0] = (0, *users[0][1:])
+        users[1] = (1, *users[1][1:])
+        scores = {f"u{i}": [0.9] * hot + [0.1] * cold for i, (_, hot, cold) in enumerate(users)}
+        labels = {f"u{i}": label for i, (label, _, _) in enumerate(users)}
+        ids = list(scores)
+        ds = make_dataset(list(zip(ids, ids[1:])), scores=scores, labels=labels)
+        got = threshold_sweep(ds, thresholds)
+        want = naive_threshold_sweep(ds, thresholds, 0.5)
+        assert got == want
+        assert [list(row) for row in got] == [list(row) for row in want]  # key order
+
+    @pytest.mark.parametrize("label, message", [(1, "no negative"), (0, "no positive")])
+    def test_single_class_labels_rejected(self, label, message):
+        ds = make_dataset(
+            [("a", "b")], scores={"a": [0.9], "b": [0.1]}, labels={"a": label, "b": label}
+        )
+        with pytest.raises(DegenerateDataError, match=message):
+            threshold_sweep(ds, [1, 2])
+        with pytest.raises(DegenerateDataError, match=message):
+            metrics([label, label], [1, 0], [1.0, 0.0])
+
+    def test_empty_cutoff_list_gives_no_rows(self):
+        assert threshold_sweep(self.make_counted(), []) == []
 
     @pytest.mark.parametrize("tau_t", [float("nan"), 7.0, -0.5])
     def test_tau_t_outside_the_unit_interval_rejected(self, tau_t):
